@@ -119,6 +119,9 @@ type man = {
   mutable cres : t array;
   mutable cmask : int;
   mutable centries : int;
+  (* touched-slot log: [clog.(j)] for [j < centries] is the j-th slot
+     filled since the last reset, while it fits *)
+  mutable clog : int array;
   cache_max_entries : int;
   mutable evict_since_resize : int;
   mutable next_id : int;
@@ -212,6 +215,13 @@ let default_cache_bits = 15
 let default_cache_budget = 32 * 1024 * 1024
 let bytes_per_cache_entry = 32                    (* 3 boxed-free ints + 1 pointer *)
 
+(* The touched-slot log starts at 1024 entries and doubles on demand up
+   to half the cache's slots: past that many fills the full fill costs at
+   most two slots per filled slot, so a reset stays linear in what was
+   filled either way.  Starting small keeps the many short-lived
+   managers that fill little from paying for a large log. *)
+let cache_log ccap = Array.make (min 1024 (ccap / 2)) 0
+
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
 let new_man ?(nvars = 0) ?(cache_bits = default_cache_bits)
@@ -242,6 +252,7 @@ let new_man ?(nvars = 0) ?(cache_bits = default_cache_bits)
     cres = Array.make ccap self;
     cmask = ccap - 1;
     centries = 0;
+    clog = cache_log ccap;
     cache_max_entries;
     evict_since_resize = 0;
     next_id = 1;
@@ -359,6 +370,18 @@ let cache_find man k0 k1 k2 =
   end
   else None
 
+(* Empty slot [i] is being filled: count it and log it, doubling a full
+   log while it holds fewer than half the cache's slots. *)
+let cache_fill man i =
+  let n = man.centries in
+  if n = Array.length man.clog && 2 * n < man.cmask + 1 then begin
+    let log = Array.make (2 * n) 0 in
+    Array.blit man.clog 0 log 0 n;
+    man.clog <- log
+  end;
+  if n < Array.length man.clog then man.clog.(n) <- i;
+  man.centries <- n + 1
+
 let cache_grow man =
   let ok0 = man.ck0 and ok1 = man.ck1 and ok2 = man.ck2 and ores = man.cres in
   let ocap = man.cmask + 1 in
@@ -369,12 +392,13 @@ let cache_grow man =
   man.cres <- Array.make ncap man.top;
   man.cmask <- ncap - 1;
   man.centries <- 0;
+  man.clog <- cache_log ncap;
   man.evict_since_resize <- 0;
   Array.iteri
     (fun j k ->
        if k <> min_int then begin
          let i = c_slot man k ok1.(j) ok2.(j) in
-         if man.ck0.(i) = min_int then man.centries <- man.centries + 1;
+         if man.ck0.(i) = min_int then cache_fill man i;
          man.ck0.(i) <- k;
          man.ck1.(i) <- ok1.(j);
          man.ck2.(i) <- ok2.(j);
@@ -390,7 +414,7 @@ let cache_store man k0 k1 k2 r =
     && man.cmask + 1 < man.cache_max_entries
   then cache_grow man;
   let i = c_slot man k0 k1 k2 in
-  if man.ck0.(i) = min_int then man.centries <- man.centries + 1
+  if man.ck0.(i) = min_int then cache_fill man i
   else if
     not (man.ck0.(i) = k0 && man.ck1.(i) = k1 && man.ck2.(i) = k2)
   then begin
@@ -402,10 +426,20 @@ let cache_store man k0 k1 k2 r =
   man.ck2.(i) <- k2;
   man.cres.(i) <- r
 
+(* Empty exactly the logged slots, or every slot once the log has
+   overflowed; emptied results are released so the OCaml GC can reclaim
+   swept nodes. *)
 let cache_reset man =
-  Array.fill man.ck0 0 (Array.length man.ck0) min_int;
-  (* release result edges so the OCaml GC can reclaim swept nodes *)
-  Array.fill man.cres 0 (Array.length man.cres) man.top;
+  if man.centries <= Array.length man.clog then
+    for j = 0 to man.centries - 1 do
+      let i = man.clog.(j) in
+      man.ck0.(i) <- min_int;
+      man.cres.(i) <- man.top
+    done
+  else begin
+    Array.fill man.ck0 0 (Array.length man.ck0) min_int;
+    Array.fill man.cres 0 (Array.length man.cres) man.top
+  end;
   man.centries <- 0;
   man.evict_since_resize <- 0
 
@@ -1537,59 +1571,44 @@ let restrict man f c =
 
 (* ----- Inspection ----- *)
 
-let iter_nodes _man f k =
-  let seen = Hashtbl.create 64 in
+module Itbl = Hashtbl.Make (Int)
+
+(* The one node walker: [k] sees every physical node reachable from [fs]
+   once, terminal included, depth-first with then before else. *)
+let walk fs k =
+  let seen = Itbl.create 64 in
   let rec go n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      k n.id n.var;
+    if not (Itbl.mem seen n.id) then begin
+      Itbl.add seen n.id ();
+      k n;
       if n.var <> const_var then begin
         go n.n_hi.node;
         go n.n_lo.node
       end
     end
   in
-  go f.node
+  List.iter (fun e -> go e.node) fs
 
-let size man f =
-  let n = ref 0 in
-  iter_nodes man f (fun _ _ -> incr n);
-  !n
+let iter_nodes _man f k = walk [ f ] (fun n -> k n.id n.var)
 
 let shared_size _man fs =
-  let seen = Hashtbl.create 64 in
   let count = ref 0 in
-  let rec go n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      incr count;
-      if n.var <> const_var then begin
-        go n.n_hi.node;
-        go n.n_lo.node
-      end
-    end
-  in
-  List.iter (fun e -> go e.node) fs;
+  walk fs (fun _ -> incr count);
   !count
+
+let size man f = shared_size man [ f ]
 
 (* Every chain level is in the support: [h = one, l = one] chains are
    forbidden by canonical form, so flipping any chained variable always
    changes the function's value somewhere. *)
 let support _man f =
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
-  let rec go n =
-    if n.var <> const_var && not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      for v = n.var to n.bot do
-        Hashtbl.replace vars v ()
-      done;
-      go n.n_hi.node;
-      go n.n_lo.node
-    end
-  in
-  go f.node;
-  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
+  let vars = Itbl.create 16 in
+  walk [ f ] (fun n ->
+      if n.var <> const_var then
+        for v = n.var to n.bot do
+          Itbl.replace vars v ()
+        done);
+  List.sort compare (Itbl.fold (fun v () acc -> v :: acc) vars [])
 
 let eval f assign =
   let rec chain_hit v b = v < b && (assign v || chain_hit (v + 1) b) in
@@ -1674,45 +1693,32 @@ let count_below man f level =
    virtual node at level [b] coincides with a physical plain node
    [(b,h,l)] when one exists, so keys are deduplicated globally. *)
 module Metric = struct
-  let fold_physical fs k =
-    let seen = Hashtbl.create 64 in
-    let rec go n =
-      if not (Hashtbl.mem seen n.id) then begin
-        Hashtbl.add seen n.id ();
-        k n;
-        if n.var <> const_var then begin
-          go n.n_hi.node;
-          go n.n_lo.node
-        end
-      end
-    in
-    List.iter (fun e -> go e.node) fs
-
-  let shared_nodes _man fs =
-    let count = ref 0 in
-    fold_physical fs (fun _ -> incr count);
-    !count
-
-  let nodes man f = shared_nodes man [ f ]
+  let shared_nodes = shared_size
+  let nodes = size
 
   let shared_chain_nodes _man fs =
     let count = ref 0 in
-    fold_physical fs (fun n ->
-        if n.var <> const_var && n.bot > n.var then incr count);
+    walk fs (fun n -> if n.var <> const_var && n.bot > n.var then incr count);
     !count
 
   let chain_nodes man f = shared_chain_nodes man [ f ]
 
-  let shared_plain_equivalent _man fs =
-    let keys = Hashtbl.create 64 in
-    fold_physical fs (fun n ->
-        if n.var <> const_var then begin
-          let hid = n.n_hi.node.id and luid = uid n.n_lo in
-          for i = n.var to n.bot do
-            Hashtbl.replace keys (i, n.bot, hid, luid) ()
-          done
-        end);
-    Hashtbl.length keys + 1 (* the terminal *)
+  (* On a plain manager every node has [var = bot] and is its own key,
+     so the expansion below would just recount the physical nodes (an
+     empty list still counts the terminal, so it takes the long way). *)
+  let shared_plain_equivalent man fs =
+    if (not man.chain) && fs <> [] then shared_nodes man fs
+    else begin
+      let keys = Hashtbl.create 64 in
+      walk fs (fun n ->
+          if n.var <> const_var then begin
+            let hid = n.n_hi.node.id and luid = uid n.n_lo in
+            for i = n.var to n.bot do
+              Hashtbl.replace keys (i, n.bot, hid, luid) ()
+            done
+          end);
+      Hashtbl.length keys + 1 (* the terminal *)
+    end
 
   let plain_equivalent man f = shared_plain_equivalent man [ f ]
 end
@@ -1943,6 +1949,7 @@ module Shared = struct
         cres = Array.make ccap sh.sh_top;
         cmask = ccap - 1;
         centries = 0;
+        clog = cache_log ccap;
         cache_max_entries;
         evict_since_resize = 0;
         next_id = 1;

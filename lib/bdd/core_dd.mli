@@ -88,7 +88,13 @@ val nvars : man -> int
 
 val clear_caches : man -> unit
 (** Flush all operation caches (the unique table is kept).  Used to time
-    heuristics fairly, as in §4.1.1 of the paper. *)
+    heuristics fairly, as in §4.1.1 of the paper.  Costs O(slots filled
+    since the last flush), not O(capacity): every fill of an empty slot
+    is recorded in a touched-slot log (1024 entries, doubling on demand
+    up to half the cache's slots), and the flush empties just those,
+    falling back to a full fill only once more slots were filled than
+    the log holds.  {!gc} and the shared-store collection flush through
+    the same routine. *)
 
 (** {1 External references and garbage collection}
 

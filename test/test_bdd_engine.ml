@@ -379,6 +379,126 @@ let clear_caches_keeps_nodes () =
   Util.checkb "canonicity kept"
     (Bdd.uid (Bdd.dand man (x 0) (x 1)) = Bdd.uid f)
 
+(* ----- cache reset completeness ----- *)
+
+(* A random op: three seeded functions of [n] variables, then apply steps
+   whose operands are picked from everything built so far.  Every result
+   is rooted, and apply kernels intern only nodes of their results, so a
+   collection between two runs sweeps nothing the op touches. *)
+let gen_op ~vars =
+  QCheck2.Gen.(
+    let* n = vars in
+    let* seed = int_bound 0xFFFFF in
+    let* steps =
+      list_size (int_range 1 12) (quad (int_bound 3) nat nat nat)
+    in
+    return (n, seed, steps))
+
+let run_op man (n, seed, steps) =
+  let pool =
+    ref (Array.init 3 (fun i -> Tt.to_bdd man (tt_of_seed n (seed + i))))
+  in
+  Array.iter (Bdd.ref_ man) !pool;
+  List.iter
+    (fun (k, a, b, c) ->
+       let p = !pool in
+       let pick i = p.(i mod Array.length p) in
+       let r =
+         match k with
+         | 0 -> Bdd.and_ man (pick a) (pick b)
+         | 1 -> Bdd.or_ man (pick a) (pick b)
+         | 2 -> Bdd.xor man (pick a) (pick b)
+         | _ -> Bdd.ite man (pick a) (pick b) (pick c)
+       in
+       Bdd.ref_ man r;
+       pool := Array.append p [| r |])
+    steps
+
+(* One [clear; op] run: whether the clear left the cache empty, the
+   op's cache traffic, and whether the cache grew during the op. *)
+let cleared_run ~clear man op =
+  clear man;
+  let before = Bdd.snapshot man in
+  run_op man op;
+  let after = Bdd.snapshot man in
+  let d = Bdd.Stats.delta ~before ~after in
+  ( before.Bdd.Stats.cache_entries = 0,
+    Bdd.Stats.(d.cache_lookups, d.cache_hits, d.cache_stores, d.cache_evictions),
+    after.Bdd.Stats.cache_capacity > before.Bdd.Stats.cache_capacity )
+
+(* [clear; op] twice on one manager: both clears must leave the cache
+   empty, and the second run must see exactly the traffic of the first —
+   a slot a clear missed would show up as extra hits. *)
+let reset_is_complete ~clear man op =
+  let e1, t1, _ = cleared_run ~clear man op in
+  let e2, t2, _ = cleared_run ~clear man op in
+  e1 && e2 && t1 = t2
+
+let clear_by_gc man = ignore (Bdd.gc man)
+
+(* 4096 slots that never grow: the touched-slot log starts at 1024
+   entries and doubles to 2048, half the slots; larger ops overflow it
+   into the full fill. *)
+let fixed_cache () = Bdd.create ~cache_bits:12 ~cache_bytes:0 ~auto_gc:false ()
+
+let reset_complete_fixed =
+  Util.qtest ~count:60 "reset: clear_caches empties every filled slot"
+    (gen_op ~vars:(QCheck2.Gen.int_range 2 9))
+    (fun op -> reset_is_complete ~clear:Bdd.clear_caches (fixed_cache ()) op)
+
+let reset_complete_gc =
+  Util.qtest ~count:40 "reset: gc empties every filled slot"
+    (gen_op ~vars:(QCheck2.Gen.int_range 2 9))
+    (fun op -> reset_is_complete ~clear:clear_by_gc (fixed_cache ()) op)
+
+(* 16 slots that may double up to 1024: growth fires mid-op and
+   rehashes into a rebuilt log.  Runs repeat until one no longer grows;
+   that run's clear followed a growth, and the next run starts from the
+   same capacity, so the two must see the same traffic. *)
+let reset_complete_after_growth =
+  Util.qtest ~count:40 "reset: growth, then clear_caches empties every slot"
+    (gen_op ~vars:(QCheck2.Gen.int_range 6 9))
+    (fun op ->
+       let man =
+         Bdd.create ~cache_bits:4 ~cache_bytes:(1024 * 32) ~auto_gc:false ()
+       in
+       let run () = cleared_run ~clear:Bdd.clear_caches man op in
+       let e0, _, grew0 = run () in
+       let rec settle emptied =
+         let e, t, grew = run () in
+         if grew then settle (emptied && e) else (emptied && e, t)
+       in
+       let emptied, t1 = settle e0 in
+       let e2, t2, grew2 = run () in
+       grew0 && emptied && e2 && (not grew2) && t1 = t2)
+
+(* Every path for certain: ops of growing size that fill fewer slots
+   than the first log holds, enough to double it, and more than the
+   doubled log holds. *)
+let reset_complete_by_size () =
+  let fills =
+    List.map
+      (fun n ->
+         let man = fixed_cache () in
+         let op = (n, 0x5eed, List.init 12 (fun i -> (i mod 4, i, i + 1, i + 2))) in
+         run_op man op;
+         let filled = (Bdd.snapshot man).Bdd.Stats.cache_entries in
+         Util.checkb
+           (Printf.sprintf "%d-variable op: both runs see the same traffic" n)
+           (reset_is_complete ~clear:Bdd.clear_caches man op);
+         filled)
+      [ 4; 9; 10; 11 ]
+  in
+  let some p what =
+    Util.checkb
+      (Printf.sprintf "an op %s (fills %s)" what
+         (String.concat " " (List.map string_of_int fills)))
+      (List.exists p fills)
+  in
+  some (fun f -> f <= 1024) "stays within the first log";
+  some (fun f -> f > 1024 && f <= 2048) "doubles the log";
+  some (fun f -> f > 2048) "overflows the log"
+
 let suite =
   [
     tiny_cache_differential;
@@ -404,4 +524,9 @@ let suite =
       and_exists_counted;
     Alcotest.test_case "clear_caches keeps nodes" `Quick
       clear_caches_keeps_nodes;
+    reset_complete_fixed;
+    reset_complete_gc;
+    reset_complete_after_growth;
+    Alcotest.test_case "reset: log, log doubling and full-fill fallback"
+      `Quick reset_complete_by_size;
   ]

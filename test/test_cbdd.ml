@@ -120,6 +120,51 @@ let chains_compress () =
     (Bdd.Metric.plain_equivalent mc chain)
     (Bdd.Metric.shared_plain_equivalent mc [ chain ])
 
+(* The chain expansion behind [plain_equivalent], rebuilt from the public
+   API: one key [(level, bot, then id, else uid)] per level of every
+   reachable node, plus the terminal.  Valid on plain managers, where the
+   cofactors of a regular edge are the node's stored children. *)
+let keyed_plain_equivalent man fs =
+  let keys = Hashtbl.create 64 and seen = Hashtbl.create 64 in
+  let rec go e =
+    let e = if Bdd.uid e land 1 = 1 then Bdd.compl e else e in
+    if (not (Bdd.is_const e)) && not (Hashtbl.mem seen (Bdd.uid e)) then begin
+      Hashtbl.add seen (Bdd.uid e) ();
+      let h = Bdd.hi man e and l = Bdd.lo man e in
+      for i = Bdd.topvar e to Bdd.bot e do
+        Hashtbl.replace keys (i, Bdd.bot e, Bdd.node_id h, Bdd.uid l) ()
+      done;
+      go h;
+      go l
+    end
+  in
+  List.iter go fs;
+  Hashtbl.length keys + 1
+
+(* Plain managers skip the expansion and count physical nodes; pin that
+   shortcut to the formula it replaces. *)
+let plain_metric_shortcut =
+  Util.qtest ~count:100 "plain managers: plain_equivalent = chain expansion"
+    QCheck2.Gen.(
+      let* n = int_range 1 7 in
+      let* seeds = list_size (int_range 0 4) (int_bound 0xFFFFF) in
+      return (n, seeds))
+    (fun (n, seeds) ->
+       let man = plain () in
+       let fs =
+         List.map
+           (fun s ->
+              let st = Random.State.make [| s; n; 0x9e7 |] in
+              Tt.to_bdd man (random_tt st n 50))
+           seeds
+       in
+       Bdd.Metric.shared_plain_equivalent man fs = keyed_plain_equivalent man fs
+       && List.for_all
+            (fun f ->
+               Bdd.Metric.plain_equivalent man f
+               = keyed_plain_equivalent man [ f ])
+            fs)
+
 (* The On_growth policy: a doubling unique table arms the pending flag
    (from inside interning — listeners must not sift there), and the
    sift runs only when [check] is called at a clean boundary.  The
@@ -224,4 +269,5 @@ let suite =
     remap_cube_after_sift;
     Alcotest.test_case "remap_cube rejects out-of-range" `Quick
       remap_cube_rejects_out_of_range;
+    plain_metric_shortcut;
   ]

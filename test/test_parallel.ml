@@ -27,6 +27,38 @@ let shared_canonicity () =
   Bdd.Shared.detach v2;
   Util.checki "detach deregisters" 1 (Bdd.Shared.view_count store)
 
+(* ----- stop-the-world GC empties every view's cache ----- *)
+
+let shared_gc_resets_view_caches () =
+  let store = Bdd.Shared.create () in
+  let v1 = Bdd.Shared.attach store in
+  let v2 = Bdd.Shared.attach store in
+  let entries view = (Bdd.snapshot view).Bdd.Stats.cache_entries in
+  let n = 6 in
+  let f = random_fn v1 n 11 and g = random_fn v1 n 12 in
+  Bdd.ref_ v1 f;
+  Bdd.ref_ v1 g;
+  (* both views cache results nothing roots *)
+  let derived view = [ Bdd.xor view f g; Bdd.and_ view f (Bdd.compl g) ] in
+  ignore (derived v1);
+  ignore (derived v2);
+  Util.checkb "both views cached results" (entries v1 > 0 && entries v2 > 0);
+  Util.checkb "the collection swept them" (Bdd.gc v1 > 0);
+  Util.checki "requesting view emptied" 0 (entries v1);
+  Util.checki "other view emptied" 0 (entries v2);
+  ignore (Bdd.Shared.self_check store);
+  (* a swept node served from a stale slot would not be the store's
+     canonical edge for its function *)
+  List.iter
+    (fun view ->
+       List.iter
+         (fun r ->
+            Util.checkb "recomputed result is a live canonical edge"
+              (Bdd.equal r (Tt.to_bdd view (Tt.of_bdd view ~nvars:n r))))
+         (derived view))
+    [ v1; v2 ];
+  ignore (Bdd.Shared.self_check store)
+
 (* ----- Par.map bit-identity (qcheck differential) ----- *)
 
 let par_map_differential =
@@ -274,4 +306,6 @@ let suite =
       multi_domain_stress;
     Alcotest.test_case "sift refuses shared multi-view manager" `Quick
       sift_refuses_multi_view;
+    Alcotest.test_case "shared gc empties every view's cache" `Quick
+      shared_gc_resets_view_caches;
   ]
