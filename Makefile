@@ -17,7 +17,7 @@ bench-smoke: build
 	BDDMIN_BENCH_SERVE_CLIENTS=2 BDDMIN_BENCH_SERVE_REQUESTS=20 \
 		dune exec bench/main.exe
 
-# Regenerate the committed perf baseline (schema bddmin-bench-engine/8;
+# Regenerate the committed perf baseline (schema bddmin-bench-engine/9;
 # see Harness.Bench_json).  Deterministic apart from the wall-time
 # fields and the serve section, at any -j.
 bench-json: build

@@ -503,7 +503,7 @@ let serve_clients =
 let serve_requests =
   Option.value (env_pos_int "BDDMIN_BENCH_SERVE_REQUESTS") ~default:150
 
-let serve_stats : Harness.Bench_json.serve_stats option ref = ref None
+let serve_stats : Serve.Loadgen.stats option ref = ref None
 
 let serve_phase () =
   Printf.printf
@@ -515,50 +515,7 @@ let serve_phase () =
       ~explain:true ()
   in
   Format.printf "%a@.@." Serve.Loadgen.pp stats;
-  serve_stats :=
-    Some
-      {
-        Harness.Bench_json.serve_clients = stats.Serve.Loadgen.clients;
-        serve_requests = stats.Serve.Loadgen.requests;
-        serve_workers = stats.Serve.Loadgen.workers;
-        serve_seconds = stats.Serve.Loadgen.seconds;
-        serve_rps = stats.Serve.Loadgen.rps;
-        serve_p50_ms = stats.Serve.Loadgen.p50_ms;
-        serve_p95_ms = stats.Serve.Loadgen.p95_ms;
-        serve_p99_ms = stats.Serve.Loadgen.p99_ms;
-        serve_mean_ms = stats.Serve.Loadgen.mean_ms;
-        serve_ok = stats.Serve.Loadgen.ok;
-        serve_dnf = stats.Serve.Loadgen.dnf;
-        serve_partial = stats.Serve.Loadgen.partial;
-        serve_busy = stats.Serve.Loadgen.busy;
-        serve_errors = stats.Serve.Loadgen.errors;
-        serve_telemetry =
-          Option.map
-            (fun (t : Serve.Loadgen.telemetry) ->
-               {
-                 Harness.Bench_json.serve_explained = t.explained;
-                 serve_queue_us_mean = t.queue_us_mean;
-                 serve_exec_us_mean = t.exec_us_mean;
-                 serve_write_us_mean = t.write_us_mean;
-               })
-            stats.Serve.Loadgen.telemetry;
-        serve_server =
-          Option.map
-            (fun (c : Serve.Loadgen.server_counters) ->
-               {
-                 Harness.Bench_json.serve_cache_hits = c.cache_hits;
-                 serve_cache_canonical_hits = c.cache_canonical_hits;
-                 serve_cache_misses = c.cache_misses;
-                 serve_cache_collapsed = c.cache_collapsed;
-                 serve_cache_evicted = c.cache_evicted;
-                 serve_sessions_opened = c.sessions_opened;
-                 serve_sessions_evicted = c.sessions_evicted;
-                 serve_batches = c.batches;
-                 serve_batched_requests = c.batched_requests;
-                 serve_busy_replies = c.busy_replies;
-               })
-            stats.Serve.Loadgen.server;
-      }
+  serve_stats := Some stats
 
 (* ----- Parallel engine phase: seq vs par on a shared node store -----
 

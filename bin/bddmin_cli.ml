@@ -615,57 +615,6 @@ let tables_cmd =
 
 (* ----- bench: capture suite + machine-readable baseline ----- *)
 
-(* The bench's serve phase: loadgen stats copied into the plain record
-   Bench_json renders (harness has no serve dependency). *)
-let serve_phase ~clients ~requests =
-  let (stats : Serve.Loadgen.stats), dt =
-    Obs.Clock.timed @@ fun () ->
-    Serve.Loadgen.run ~clients ~requests ~explain:true ()
-  in
-  ( {
-      Harness.Bench_json.serve_clients = stats.clients;
-      serve_requests = stats.requests;
-      serve_workers = stats.workers;
-      serve_seconds = stats.seconds;
-      serve_rps = stats.rps;
-      serve_p50_ms = stats.p50_ms;
-      serve_p95_ms = stats.p95_ms;
-      serve_p99_ms = stats.p99_ms;
-      serve_mean_ms = stats.mean_ms;
-      serve_ok = stats.ok;
-      serve_dnf = stats.dnf;
-      serve_partial = stats.partial;
-      serve_busy = stats.busy;
-      serve_errors = stats.errors;
-      serve_telemetry =
-        Option.map
-          (fun (t : Serve.Loadgen.telemetry) ->
-             {
-               Harness.Bench_json.serve_explained = t.explained;
-               serve_queue_us_mean = t.queue_us_mean;
-               serve_exec_us_mean = t.exec_us_mean;
-               serve_write_us_mean = t.write_us_mean;
-             })
-          stats.telemetry;
-      serve_server =
-        Option.map
-          (fun (c : Serve.Loadgen.server_counters) ->
-             {
-               Harness.Bench_json.serve_cache_hits = c.cache_hits;
-               serve_cache_canonical_hits = c.cache_canonical_hits;
-               serve_cache_misses = c.cache_misses;
-               serve_cache_collapsed = c.cache_collapsed;
-               serve_cache_evicted = c.cache_evicted;
-               serve_sessions_opened = c.sessions_opened;
-               serve_sessions_evicted = c.sessions_evicted;
-               serve_batches = c.batches;
-               serve_batched_requests = c.batched_requests;
-               serve_busy_replies = c.busy_replies;
-             })
-          stats.server;
-    },
-    dt )
-
 (* The bench's CBDD ablation: re-capture the quick suite under the
    chain-reduced representation and compare every minimization verdict
    (winner and plain-equivalent sizes) against the corresponding call
@@ -769,7 +718,9 @@ let bench_cmd =
         Printf.eprintf "serve phase: %d requests over %d clients\n%!"
           serve_requests serve_clients;
         let stats, serve_dt =
-          serve_phase ~clients:serve_clients ~requests:serve_requests
+          Obs.Clock.timed @@ fun () ->
+          Serve.Loadgen.run ~clients:serve_clients ~requests:serve_requests
+            ~explain:true ()
         in
         ( Some stats,
           [ ("capture", dt); ("parallel", par_dt); ("cbdd", cbdd_dt);
@@ -1126,7 +1077,7 @@ let parse_metrics_addr s =
 
 let serve_cmd =
   let run port unix_path workers metrics_addr flight_capacity flight_dump
-      queue_cap max_sessions batch_threshold cache_capacity repr trace =
+      queue_cap max_sessions cache_capacity repr trace =
     let repr = resolve_repr repr in
     let listen =
       match unix_path with
@@ -1147,8 +1098,7 @@ let serve_cmd =
     in
     match
       Serve.Server.start ~workers ?trace:trace_sink ?metrics ~flight_capacity
-        ~flight_dump ~queue_cap ~max_sessions ~batch_threshold ~cache_capacity
-        ~repr listen
+        ~flight_dump ~queue_cap ~max_sessions ~cache_capacity ~repr listen
     with
     | exception Unix.Unix_error (e, _, _) ->
       Printf.eprintf "error: cannot listen on %s: %s\n"
@@ -1250,13 +1200,6 @@ let serve_cmd =
                    connections (default 64); opening past it evicts \
                    the least recently used.")
   in
-  let batch_threshold =
-    Arg.(value & opt int 4096
-         & info [ "batch-threshold" ] ~docv:"BYTES"
-             ~doc:"Sessionless minimize payloads at or below $(docv) \
-                   bytes are coalesced onto a shared batch manager \
-                   (default 4096; 0 disables batching).")
-  in
   let cache_capacity =
     Arg.(value & opt int 1024
          & info [ "cache-capacity" ] ~docv:"N"
@@ -1297,16 +1240,15 @@ let serve_cmd =
               bounded by $(b,--queue-cap) (overload answers $(b,busy) \
               with a $(b,retry_after_ms) hint); repeated payloads hit \
               a canonical result cache ($(b,--cache-capacity)) with \
-              in-flight duplicates collapsed onto one execution; small \
-              sessionless requests are batched onto a shared manager \
-              ($(b,--batch-threshold)); and $(b,session_open) pins a \
-              warm manager for a client ($(b,--max-sessions)).  See \
-              docs/TUTORIAL.md §13.";
+              in-flight duplicates collapsed onto one execution; every \
+              other sessionless request runs on a manager of its own; \
+              and $(b,session_open) pins a warm manager for a client \
+              ($(b,--max-sessions)).  See docs/TUTORIAL.md §13.";
          ])
-    Term.(const (fun () a b c d e f g h i j k l -> run a b c d e f g h i j k l)
+    Term.(const (fun () a b c d e f g h i j k -> run a b c d e f g h i j k)
           $ logs_term $ port $ unix_path $ workers $ metrics_addr
           $ flight_capacity $ flight_dump $ queue_cap $ max_sessions
-          $ batch_threshold $ cache_capacity $ repr_term $ trace_term)
+          $ cache_capacity $ repr_term $ trace_term)
 
 let serve_bench_cmd =
   let run connect clients requests workers heuristic seed max_steps
@@ -1406,7 +1348,7 @@ let serve_bench_cmd =
               and $(b,--duplicate-rate) aim the same deterministic \
               traffic at the daemon's warm-session and result-cache \
               fast paths; the report then includes the server's own \
-              cache / session / batch / busy counters scraped at the \
+              cache / session / busy counters scraped at the \
               end of the run.";
          ])
     Term.(const (fun () a b c d e f g h i j k l -> run a b c d e f g h i j k l)

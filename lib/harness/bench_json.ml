@@ -19,47 +19,6 @@ let num f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
 let opt_int = function None -> "null" | Some i -> string_of_int i
 let opt_num = function None -> "null" | Some f -> num f
 
-(* Plain record so the serve library (which depends on nothing here) can
-   stay unreferenced: the caller copies its loadgen stats across. *)
-type serve_telemetry = {
-  serve_explained : int;
-  serve_queue_us_mean : float;
-  serve_exec_us_mean : float;
-  serve_write_us_mean : float;
-}
-
-type serve_server = {
-  serve_cache_hits : int;
-  serve_cache_canonical_hits : int;
-  serve_cache_misses : int;
-  serve_cache_collapsed : int;
-  serve_cache_evicted : int;
-  serve_sessions_opened : int;
-  serve_sessions_evicted : int;
-  serve_batches : int;
-  serve_batched_requests : int;
-  serve_busy_replies : int;
-}
-
-type serve_stats = {
-  serve_clients : int;
-  serve_requests : int;
-  serve_workers : int;
-  serve_seconds : float;
-  serve_rps : float;
-  serve_p50_ms : float;
-  serve_p95_ms : float;
-  serve_p99_ms : float;
-  serve_mean_ms : float;
-  serve_ok : int;
-  serve_dnf : int;
-  serve_partial : int;
-  serve_busy : int;
-  serve_errors : int;
-  serve_telemetry : serve_telemetry option;
-  serve_server : serve_server option;
-}
-
 (* Shared-store parallel-engine phase: the concurrent manager tier's
    telemetry plus the seq-vs-par timing of the same workload and the
    canonical-identity verdict.  [par_speedup] on a single-CPU host sits
@@ -122,43 +81,36 @@ let cbdd_row = function
 
 let telemetry_row = function
   | None -> "null"
-  | Some t ->
+  | Some (t : Serve.Loadgen.telemetry) ->
     Printf.sprintf
       "{\"explained\":%d,\"queue_us_mean\":%s,\"exec_us_mean\":%s,\
        \"write_us_mean\":%s}"
-      t.serve_explained
-      (num t.serve_queue_us_mean)
-      (num t.serve_exec_us_mean)
-      (num t.serve_write_us_mean)
+      t.explained (num t.queue_us_mean) (num t.exec_us_mean)
+      (num t.write_us_mean)
 
 let server_row = function
   | None -> "null"
-  | Some c ->
+  | Some (c : Serve.Loadgen.server_counters) ->
     Printf.sprintf
       "{\"cache_hits\":%d,\"cache_canonical_hits\":%d,\"cache_misses\":%d,\
        \"cache_collapsed\":%d,\"cache_evicted\":%d,\"sessions_opened\":%d,\
-       \"sessions_evicted\":%d,\"batches\":%d,\"batched_requests\":%d,\
-       \"busy_replies\":%d}"
-      c.serve_cache_hits c.serve_cache_canonical_hits c.serve_cache_misses
-      c.serve_cache_collapsed c.serve_cache_evicted c.serve_sessions_opened
-      c.serve_sessions_evicted c.serve_batches c.serve_batched_requests
-      c.serve_busy_replies
+       \"sessions_evicted\":%d,\"busy_replies\":%d}"
+      c.cache_hits c.cache_canonical_hits c.cache_misses c.cache_collapsed
+      c.cache_evicted c.sessions_opened c.sessions_evicted c.busy_replies
 
 let serve_row = function
   | None -> "null"
-  | Some s ->
+  | Some (s : Serve.Loadgen.stats) ->
     Printf.sprintf
       "{\"clients\":%d,\"requests\":%d,\"workers\":%d,\"seconds\":%s,\
        \"requests_per_sec\":%s,\"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\
        \"mean_ms\":%s,\"ok_replies\":%d,\"dnf_replies\":%d,\
        \"partial_replies\":%d,\"busy_replies\":%d,\"error_replies\":%d,\
        \"telemetry\":%s,\"server\":%s}"
-      s.serve_clients s.serve_requests s.serve_workers (num s.serve_seconds)
-      (num s.serve_rps) (num s.serve_p50_ms) (num s.serve_p95_ms)
-      (num s.serve_p99_ms) (num s.serve_mean_ms) s.serve_ok s.serve_dnf
-      s.serve_partial s.serve_busy s.serve_errors
-      (telemetry_row s.serve_telemetry)
-      (server_row s.serve_server)
+      s.clients s.requests s.workers (num s.seconds) (num s.rps)
+      (num s.p50_ms) (num s.p95_ms) (num s.p99_ms) (num s.mean_ms) s.ok s.dnf
+      s.partial s.busy s.errors (telemetry_row s.telemetry)
+      (server_row s.server)
 
 let render ?serve ?parallel ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
     ~max_calls ~image ~limits ~benches ~capture_seconds ~phases ~names
@@ -251,7 +203,7 @@ let render ?serve ?parallel ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
   in
   Printf.sprintf
     "{\n\
-    \  \"schema\": \"bddmin-bench-engine/8\",\n\
+    \  \"schema\": \"bddmin-bench-engine/9\",\n\
     \  \"repr\": \"%s\",\n\
     \  \"jobs\": %d,\n\
     \  \"quick\": %b,\n\

@@ -1,10 +1,10 @@
 (** The machine-readable benchmark baseline ([BENCH_engine.json]).
 
-    One JSON document per benchmark run, schema ["bddmin-bench-engine/8"],
+    One JSON document per benchmark run, schema ["bddmin-bench-engine/9"],
     with every key always present:
 
     {v
-    schema       string  "bddmin-bench-engine/8"
+    schema       string  "bddmin-bench-engine/9"
     repr         string  "bdd" | "cbdd" — node representation of the run
     jobs         int     worker domains used for the capture suite
     quick        bool    small sub-suite?
@@ -43,9 +43,8 @@
     The serve [server] object is the end-of-run scrape of the daemon's
     own counters —
     [{ cache_hits, cache_canonical_hits, cache_misses, cache_collapsed,
-    cache_evicted, sessions_opened, sessions_evicted, batches,
-    batched_requests, busy_replies }] — or [null] when the scrape
-    connection failed.
+    cache_evicted, sessions_opened, sessions_evicted, busy_replies }] —
+    or [null] when the scrape connection failed.
 
     Schema history: [/2] added the [image] key and the
     [and_exists_recursions] / [interned_cubes] engine counters; [/3]
@@ -66,55 +65,13 @@
     workload ([null] when that phase is disabled); [/8] added the
     top-level [repr] field, the per-minimizer [total_chain_size]
     column (physical nodes — equal to [total_size] under ["bdd"]) and
-    the [cbdd] ablation section.
+    the [cbdd] ablation section; [/9] dropped the two batch counters
+    from the serve [server] object, since the daemon no longer batches
+    requests.
 
     Committed snapshots of this file are the perf trajectory: every
     change regenerates it ([make bench-json] or [bddmin bench]) and
     diffs against the predecessor. *)
-
-type serve_telemetry = {
-  serve_explained : int;
-  serve_queue_us_mean : float;
-  serve_exec_us_mean : float;
-  serve_write_us_mean : float;
-}
-(** Server-side phase means over explained replies, for the serve
-    [telemetry] object. *)
-
-type serve_server = {
-  serve_cache_hits : int;
-  serve_cache_canonical_hits : int;
-  serve_cache_misses : int;
-  serve_cache_collapsed : int;
-  serve_cache_evicted : int;
-  serve_sessions_opened : int;
-  serve_sessions_evicted : int;
-  serve_batches : int;
-  serve_batched_requests : int;
-  serve_busy_replies : int;
-}
-(** Scraped daemon counters for the serve [server] object. *)
-
-type serve_stats = {
-  serve_clients : int;
-  serve_requests : int;
-  serve_workers : int;
-  serve_seconds : float;
-  serve_rps : float;
-  serve_p50_ms : float;
-  serve_p95_ms : float;
-  serve_p99_ms : float;
-  serve_mean_ms : float;
-  serve_ok : int;
-  serve_dnf : int;
-  serve_partial : int;
-  serve_busy : int;
-  serve_errors : int;
-  serve_telemetry : serve_telemetry option;
-  serve_server : serve_server option;
-}
-(** The [serve] section, as a plain record so this library needs no
-    dependency on [serve] — callers copy the loadgen stats across. *)
 
 type parallel_stats = {
   par_jobs : int;  (** worker domains of the parallel-engine phase *)
@@ -152,7 +109,7 @@ type cbdd_stats = {
     (plain/chain). *)
 
 val render :
-  ?serve:serve_stats ->
+  ?serve:Serve.Loadgen.stats ->
   ?parallel:parallel_stats ->
   ?cbdd:cbdd_stats ->
   ?repr:Bdd.repr ->
@@ -176,7 +133,7 @@ val render :
     [null]. *)
 
 val write :
-  ?serve:serve_stats ->
+  ?serve:Serve.Loadgen.stats ->
   ?parallel:parallel_stats ->
   ?cbdd:cbdd_stats ->
   ?repr:Bdd.repr ->

@@ -18,7 +18,7 @@
 
    After the clients finish, one extra connection scrapes the server's
    [metrics] op so the run's server-side counters — cache hits, session
-   and batch activity, busy replies — land in {!stats.server} next to
+   activity, busy replies — land in {!stats.server} next to
    the client-side latencies they explain. *)
 
 type telemetry = {
@@ -39,8 +39,6 @@ type server_counters = {
   cache_evicted : int;
   sessions_opened : int;
   sessions_evicted : int;
-  batches : int;
-  batched_requests : int;
   busy_replies : int;
 }
 
@@ -62,7 +60,7 @@ type stats = {
   telemetry : telemetry option;
       (** server-side phase means, when run with [~explain:true] *)
   server : server_counters option;
-      (** end-of-run scrape of the server's cache/session/batch/busy
+      (** end-of-run scrape of the server's cache/session/busy
           counters; [None] if the scrape connection failed *)
 }
 
@@ -121,8 +119,6 @@ let scrape_server_counters addr =
            cache_evicted = sub "cache" "evicted";
            sessions_opened = sub "sessions" "opened";
            sessions_evicted = sub "sessions" "evicted";
-           batches = sub "batch" "batches";
-           batched_requests = sub "batch" "requests";
            busy_replies =
              Option.value ~default:0 (Json.int_field "busy_replies" result);
          })
@@ -299,9 +295,8 @@ let pp ppf s =
        | Some c ->
          Format.fprintf ppf
            "@,server counters: cache %d hit / %d canonical / %d miss / %d \
-            collapsed / %d evicted; sessions %d opened / %d evicted; \
-            batches %d (%d reqs); busy %d"
+            collapsed / %d evicted; sessions %d opened / %d evicted; busy %d"
            c.cache_hits c.cache_canonical_hits c.cache_misses
            c.cache_collapsed c.cache_evicted c.sessions_opened
-           c.sessions_evicted c.batches c.batched_requests c.busy_replies)
+           c.sessions_evicted c.busy_replies)
     s.server

@@ -24,13 +24,9 @@
         request arriving at the bound is refused with a
         [busy {retry_after_ms}] reply (estimated from the backlog and a
         recent-execution-time EMA) instead of growing the queue.
-     3. {e batching}: small sessionless minimize payloads are coalesced
-        into a batch buffer drained by one pool job that runs the whole
-        batch — sorted by deadline — on one shared manager (re-created
-        every few items), amortizing the per-request [new_man] +
-        re-intern cost.  Failures stay per-item: each batch member has
-        its own budget, handler try/catch and reply.
-     4. everything else is submitted directly with its EDF priority.
+     3. every admitted request is one pool job with its EDF priority.
+        A sessionless minimize builds its own manager, so its budget
+        and cover never depend on what else was queued.
 
    Sessions ({!Session}) pin a warm manager to a connection:
    [session_open] interns the uploaded Store once, and subsequent
@@ -41,16 +37,16 @@
    Replies are frames on the same socket, serialized by a per-connection
    write lock; a connection with several outstanding compute requests
    receives replies in completion order, matched by [id].  Shutdown
-   aborts the queued (not yet running) jobs — including batch buffers
-   and cache followers — with [dnf cancelled]/[busy] replies so no
-   client hangs, drains the running ones, then joins every reader.
+   aborts the queued (not yet running) jobs — including cache
+   followers — with [dnf cancelled]/[busy] replies so no client hangs,
+   drains the running ones, then joins every reader.
 
    Telemetry: every request is metered into the typed [Obs.Metrics]
-   registry (counters by op and status, cache/session/batch event
-   counters, log2 latency and phase histograms, gauges refreshed at
-   scrape time) and appended to an [Obs.Flight] ring of recent request
-   records; requests carrying a client trace id flow through
-   [Obs.Trace] spans when the server was started with a sink. *)
+   registry (counters by op and status, cache/session event counters,
+   log2 latency and phase histograms, gauges refreshed at scrape time)
+   and appended to an [Obs.Flight] ring of recent request records;
+   requests carrying a client trace id flow through [Obs.Trace] spans
+   when the server was started with a sink. *)
 
 let src = Logs.Src.create "bddmin.serve" ~doc:"request scheduler daemon"
 
@@ -74,8 +70,6 @@ module M = struct
     conn_errors : Obs.Metrics.counter Obs.Metrics.family;
     cache_events : Obs.Metrics.counter Obs.Metrics.family;
     session_events : Obs.Metrics.counter Obs.Metrics.family;
-    batches : Obs.Metrics.counter;
-    batched : Obs.Metrics.counter;
     queue_depth : Obs.Metrics.gauge;
     admission_queue : Obs.Metrics.gauge;
     cache_entries : Obs.Metrics.gauge;
@@ -127,14 +121,6 @@ module M = struct
       session_events =
         counter ~help:"Session lifecycle events: opened, closed, evicted"
           ~labels:[ "event" ] "bddmin_serve_session_events_total";
-      batches =
-        Obs.Metrics.handle
-          (counter ~help:"Coalesced batches executed"
-             "bddmin_serve_batches_total");
-      batched =
-        Obs.Metrics.handle
-          (counter ~help:"Requests that ran inside a coalesced batch"
-             "bddmin_serve_batched_requests_total");
       queue_depth =
         Obs.Metrics.handle
           (gauge ~help:"Compute jobs queued but not yet running"
@@ -202,8 +188,8 @@ type conn = {
   mutable refs : int;  (* reader + in-flight jobs; fd closes at 0 *)
 }
 
-(* An admitted compute request, on its way through queue / batch buffer
-   to a worker.  [p_key] is the cache key this request {e leads} (it
+(* An admitted compute request, on its way through the queue to a
+   worker.  [p_key] is the cache key this request {e leads} (it
    owes the cache a resolve or abandon); [None] when caching is off,
    the op is uncacheable, or the request joined another leader. *)
 type pending = {
@@ -225,11 +211,10 @@ type t = {
   sessions : Session.t;
   cache : Cache.t option;
   queue_cap : int;  (* 0 = unbounded *)
-  batch_threshold : int;  (* payload bytes; 0 disables batching *)
   default_repr : Bdd.repr;  (* for requests without a "repr" field *)
   stop_flag : bool Atomic.t;
   in_flight : int Atomic.t;
-  admitted : int Atomic.t;  (* enqueued (incl. batch buffer), not started *)
+  admitted : int Atomic.t;  (* enqueued, not started *)
   exec_ema_us : int Atomic.t;  (* recent handler time, for retry_after *)
   conn_count : int Atomic.t;
   conn_seq : int Atomic.t;
@@ -241,9 +226,6 @@ type t = {
   metrics_address : string option;
   metrics_port : int option;
   metrics_unix_path : string option;
-  batch_lock : Mutex.t;
-  mutable batch_buf : pending list;
-  mutable batch_scheduled : bool;
   lock : Mutex.t;
   finished : Condition.t;
   mutable accept_domain : unit Domain.t option;
@@ -522,26 +504,18 @@ let handle_session_minimize srv conn tx ~explain budget_spec ~sid ~heuristic =
        let name, cover = run_heuristic ctx ~heuristic spec in
        Ok (minimize_result man ~name ~cover spec))
 
-(* Sessionless minimize.  [?man] is the shared batch manager when this
-   request rides in a coalesced batch; otherwise a private one is
-   built.  After interning, the canonical Store text of the instance is
-   (a) looked up in the cache — a differently-formatted upload of a
-   function already served returns without running the minimizer — and
-   (b) left in [tx.canonical_key] so the result is stored under both
-   the raw and canonical keys. *)
-let handle_minimize srv ?man ~repr conn tx ~explain budget_spec ~source
+(* Sessionless minimize, on a manager of its own.  After interning, the
+   canonical Store text of the instance is (a) looked up in the cache —
+   a differently-formatted upload of a function already served returns
+   without running the minimizer — and (b) left in [tx.canonical_key]
+   so the result is stored under both the raw and canonical keys. *)
+let handle_minimize srv ~repr conn tx ~explain budget_spec ~source
     ~heuristic =
   match source with
   | Protocol.Session_ref sid ->
     handle_session_minimize srv conn tx ~explain budget_spec ~sid ~heuristic
   | Protocol.Store_text _ | Protocol.Pla_text _ ->
-    (* A batch's shared manager is only reusable when its representation
-       matches the request's; a deviant request gets a private one. *)
-    let man =
-      match man with
-      | Some m when Bdd.repr m = repr -> m
-      | Some _ | None -> Bdd.create ~repr ()
-    in
+    let man = Bdd.create ~repr () in
     (match load_ispec man source with
      | Error msg -> Error msg
      | Ok spec ->
@@ -778,16 +752,6 @@ let metrics_json srv =
             ("opened", Json.int (session_event_total "opened"));
             ("closed", Json.int (session_event_total "closed"));
             ("evicted", Json.int (session_event_total "evicted")) ] );
-      ( "batch",
-        Json.Obj
-          [ ( "batches",
-              Json.int
-                (counter_total ~name:"bddmin_serve_batches_total"
-                   ~pick:(fun _ -> true)) );
-            ( "requests",
-              Json.int
-                (counter_total ~name:"bddmin_serve_batched_requests_total"
-                   ~pick:(fun _ -> true)) ) ] );
       ("trace_dropped", Json.int (Obs.Trace.total_dropped ()));
       ( "flight",
         Json.Obj
@@ -899,7 +863,7 @@ let abandon_followers srv p reply =
 (* An item discarded without running (pool abort at shutdown, or the
    pool closed before submit): answer the client and any followers with
    [dnf cancelled], settle the accounting. *)
-let abort_item srv ~started p =
+let abort_item srv p =
   let req = p.p_req in
   let reply = Protocol.dnf_reply ~id:req.Protocol.id Bdd.Budget.Cancelled in
   Obs.Metrics.inc
@@ -911,12 +875,11 @@ let abort_item srv ~started p =
     ~outcome:"dnf" ();
   conn_send p.p_conn reply;
   abandon_followers srv p reply;
-  if not started then start_item srv p;
+  start_item srv p;
   finish_item srv p
 
-(* The worker-side execution of one admitted item.  [?man] is the
-   shared manager when the item rides in a batch. *)
-let run_item srv ?man (p : pending) =
+(* The worker-side execution of one admitted item. *)
+let run_item srv (p : pending) =
   let conn = p.p_conn and req = p.p_req in
   Fun.protect ~finally:(fun () -> finish_item srv p) @@ fun () ->
   in_request_span srv req @@ fun span ->
@@ -937,7 +900,7 @@ let run_item srv ?man (p : pending) =
       match req.op with
       | Protocol.Minimize { source; heuristic } -> begin
           match
-            handle_minimize srv ?man ~repr conn tx ~explain req.budget ~source
+            handle_minimize srv ~repr conn tx ~explain req.budget ~source
               ~heuristic
           with
           | Ok result -> Protocol.ok_reply ~id result
@@ -1044,121 +1007,6 @@ let run_item srv ?man (p : pending) =
     ignore (dump_flight srv)
   end
 
-(* ----- batching -----
-
-   Small sessionless minimizes accumulate in a buffer; the first one in
-   an empty buffer also submits a single drainer job (at that item's
-   priority).  When a worker runs the drainer it takes the whole
-   buffer, sorts it by deadline — EDF continues inside the batch — and
-   runs the items sequentially on one shared manager, re-created every
-   [batch_chunk] items so a long batch cannot bloat one unique table.
-   Items arriving while a drainer runs find the buffer unscheduled
-   again and submit the next drainer: batch boundaries are simply
-   "whatever queued up while the previous batch ran". *)
-
-let batch_chunk = 16
-
-let take_batch srv =
-  Mutex.lock srv.batch_lock;
-  let items = srv.batch_buf in
-  srv.batch_buf <- [];
-  srv.batch_scheduled <- false;
-  Mutex.unlock srv.batch_lock;
-  List.sort (fun a b -> Int64.compare a.p_prio b.p_prio) items
-
-(* Split [xs] into chunks of at most [k], preserving order. *)
-let chunks_of k xs =
-  let rec take n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> take (n - 1) (x :: acc) rest
-  in
-  let rec go = function
-    | [] -> []
-    | xs ->
-      let c, rest = take k [] xs in
-      c :: go rest
-  in
-  go xs
-
-(* One chunk runs on one fresh manager — the same manager-recycling
-   boundary the sequential drainer used, so a long batch still cannot
-   bloat one unique table. *)
-let run_chunk srv items =
-  (* Batch members requesting the non-default representation fall back
-     to a private manager inside [handle_minimize]. *)
-  let man = Bdd.create ~repr:srv.default_repr () in
-  List.iter
-    (fun p ->
-       start_item srv p;
-       run_item srv ~man p)
-    items
-
-let abort_chunk srv items = List.iter (abort_item srv ~started:false) items
-
-let run_batch srv () =
-  match take_batch srv with
-  | [] -> ()
-  | items ->
-    Obs.Metrics.inc srv.m.M.batches;
-    Obs.Metrics.add srv.m.M.batched (List.length items);
-    match chunks_of batch_chunk items with
-    | [] -> ()
-    | [ only ] -> run_chunk srv only
-    | first :: rest ->
-      (* A large batch splits at the manager-recycling boundary and the
-         surplus chunks ride to currently idle workers instead of
-         serializing behind this drainer.  Deadline order is preserved
-         within every chunk and each spread chunk is submitted at its
-         earliest deadline, so EDF still governs it against the rest of
-         the queue; per-item budgets and failure isolation are untouched
-         ([run_item] handles each member separately either way). *)
-      let idle = Exec.Pool.idle_workers srv.pool in
-      let spread, inline =
-        let rec split n = function
-          | [] -> ([], [])
-          | cs when n = 0 -> ([], cs)
-          | c :: cs ->
-            let s, i = split (n - 1) cs in
-            (c :: s, i)
-        in
-        split (max 0 idle) rest
-      in
-      let inline = ref inline in
-      List.iter
-        (fun chunk ->
-           match chunk with
-           | [] -> ()
-           | head :: _ -> (
-             try
-               Exec.Pool.submit srv.pool ~priority:head.p_prio
-                 ~on_abort:(fun () -> abort_chunk srv chunk)
-                 (fun () -> run_chunk srv chunk)
-             with Invalid_argument _ ->
-               (* pool shutting down: keep the chunk on this drainer *)
-               inline := !inline @ [ chunk ]))
-        spread;
-      run_chunk srv first;
-      List.iter (run_chunk srv) !inline
-
-let abort_batch srv = List.iter (abort_item srv ~started:false) (take_batch srv)
-
-let enqueue_batch srv p =
-  Mutex.lock srv.batch_lock;
-  srv.batch_buf <- p :: srv.batch_buf;
-  let need_drainer = not srv.batch_scheduled in
-  if need_drainer then srv.batch_scheduled <- true;
-  Mutex.unlock srv.batch_lock;
-  if need_drainer then begin
-    try
-      Exec.Pool.submit srv.pool ~priority:p.p_prio
-        ~on_abort:(fun () -> abort_batch srv)
-        (fun () -> run_batch srv ())
-    with Invalid_argument _ ->
-      (* pool already shut down: answer everything buffered *)
-      abort_batch srv
-  end
-
 (* ----- admission ----- *)
 
 let retry_after_ms srv =
@@ -1186,9 +1034,8 @@ let try_admit srv =
     go ()
 
 (* Enqueue an admitted item (caller already holds the admission slot,
-   the conn ref and the in_flight slot).  Small sessionless minimize
-   payloads go to the batch buffer; everything else straight to the
-   pool with its EDF priority. *)
+   the conn ref and the in_flight slot) as one pool job with its EDF
+   priority. *)
 let submit_item srv conn ~arrival_ns ~req_bytes ~key (req : Protocol.request) =
   let p =
     { p_req = req; p_conn = conn; p_arrival = arrival_ns;
@@ -1196,20 +1043,13 @@ let submit_item srv conn ~arrival_ns ~req_bytes ~key (req : Protocol.request) =
       p_prio = priority_of conn ~arrival_ns req.Protocol.budget }
   in
   Atomic.incr conn.queued;
-  match req.Protocol.op with
-  | Protocol.Minimize { source = Protocol.Store_text text; _ }
-    when srv.batch_threshold > 0
-         && String.length text <= srv.batch_threshold ->
-    enqueue_batch srv p
-  | _ -> begin
-      try
-        Exec.Pool.submit srv.pool ~priority:p.p_prio
-          ~on_abort:(fun () -> abort_item srv ~started:false p)
-          (fun () ->
-             start_item srv p;
-             run_item srv p)
-      with Invalid_argument _ -> abort_item srv ~started:false p
-    end
+  try
+    Exec.Pool.submit srv.pool ~priority:p.p_prio
+      ~on_abort:(fun () -> abort_item srv p)
+      (fun () ->
+         start_item srv p;
+         run_item srv p)
+  with Invalid_argument _ -> abort_item srv p
 
 (* The reader-side dispatch for compute ops: result cache, then
    backpressure, then single-flight join, then the queue. *)
@@ -1437,11 +1277,8 @@ let accept_loop srv =
   (match srv.unix_path with
    | Some path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
    | None -> ());
-  (* abort the queue (their on_abort replies dnf — including batch
-     drainers, which answer their whole buffer), drain running jobs *)
+  (* abort the queue (their on_abort replies dnf), drain running jobs *)
   Exec.Pool.shutdown ~mode:`Abort srv.pool;
-  (* belt and braces: a batch buffered after its drainer was aborted *)
-  abort_batch srv;
   (* unblock readers stuck in read(2), then join them *)
   List.iter
     (fun conn ->
@@ -1513,8 +1350,7 @@ let metrics_loop srv fd unix_path =
 
 let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
     ?(flight_capacity = 256) ?flight_dump ?(queue_cap = 512)
-    ?(max_sessions = 64) ?(batch_threshold = 4096) ?(cache_capacity = 1024)
-    ?(repr = `Bdd) listen =
+    ?(max_sessions = 64) ?(cache_capacity = 1024) ?(repr = `Bdd) listen =
   if workers < 1 then invalid_arg "Serve.Server.start: workers must be >= 1";
   if queue_cap < 0 then invalid_arg "Serve.Server.start: queue_cap must be >= 0";
   (* a client vanishing mid-reply must not kill the daemon *)
@@ -1557,7 +1393,6 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       sessions;
       cache;
       queue_cap;
-      batch_threshold;
       default_repr = repr;
       stop_flag = Atomic.make false;
       in_flight = Atomic.make 0;
@@ -1573,9 +1408,6 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       metrics_address;
       metrics_port;
       metrics_unix_path;
-      batch_lock = Mutex.create ();
-      batch_buf = [];
-      batch_scheduled = false;
       lock = Mutex.create ();
       finished = Condition.create ();
       accept_domain = None;
@@ -1584,9 +1416,8 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
     }
   in
   Log.info (fun k ->
-      k "serving on %s (%d workers, queue cap %d, batch <= %dB, cache %d, \
-         repr %s%s)"
-        address workers queue_cap batch_threshold cache_capacity
+      k "serving on %s (%d workers, queue cap %d, cache %d, repr %s%s)"
+        address workers queue_cap cache_capacity
         (Bdd.repr_label repr)
         (match metrics_address with
          | Some a -> Printf.sprintf ", metrics on %s" a

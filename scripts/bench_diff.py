@@ -1,37 +1,26 @@
 #!/usr/bin/env python3
 """Compare two BENCH_engine.json documents (committed baseline vs fresh).
 
-Schema-aware: accepts bddmin-bench-engine/1 through /6 on either side
-and compares only what both documents carry.  Reports percentage
-deltas on phase wall times, the engine's work counters, and
-per-minimizer size and time totals.  From schema /3 on, documents carry
-the resource limits (node/step/time budgets) and DNF rows — runs with
-different limits are never gated against each other, and the capture
-phase has its own (tight) threshold because the governance checks are
-supposed to cost nearly nothing when no budget is set.  From schema /4
-on, documents may carry a "serve" section (daemon load-generation
-throughput and tail latency); its deltas are reported with generous
+Accepts bddmin-bench-engine/8 and /9 on either side; /9 only drops the
+two batch counters from the serve "server" object.  Reports percentage deltas on phase wall times, the engine's
+work counters, and per-minimizer size and time totals.  Runs with
+different configurations (jobs, quick, max_calls, image, resource
+limits, node representation) are never gated against each other, and
+the capture phase has its own (tight) threshold because the governance
+checks are supposed to cost nearly nothing when no budget is set.
+
+The "serve" section (daemon load-generation throughput and tail
+latency; null when the phase was skipped) is reported with generous
 thresholds since wall-clock latency on shared CI machines is noisy —
-p50, p95 and p99 all gate against the serve threshold.  Schema /5
-splits serve replies into per-status counts and adds a "telemetry"
-object of server-side phase means; error replies always gate, and a
-rising error *rate* or dnf rate between comparable runs gates too.
-Schema /6 adds busy_replies (backpressure refusals — reported, never
-gated as errors) and a "server" object of scraped daemon counters;
-between comparable /6 runs the result-cache hit rate gates against a
-relative drop past the serve threshold.  Schema /7 adds a "parallel"
-object — shared-store concurrent-manager telemetry plus the
-seq-vs-par timing of the parallel reachability workload; its
-"identical" flag (parallel results byte-identical to sequential)
-always gates, while the timing fields are reported ungated (a
-single-CPU host cannot demonstrate speedup).  Schema /8 adds the
-top-level "repr" (node representation of the run: "bdd" or "cbdd"),
-per-minimizer total_chain_size, and a "cbdd" ablation object.  Runs
-whose repr differs are never gated against each other (chain-reduced
-managers do different amounts of per-node work), and the ablation's
-verdicts_identical flag gates unconditionally — the chain-reduced
-representation diverging from plain on any minimization verdict is a
-correctness bug.
+p50, p95 and p99 all gate against the serve threshold.  Error replies
+always gate, and a rising error or dnf *rate* between comparable runs
+gates too; busy replies (backpressure refusals) are reported, never
+gated.  Between comparable runs the result-cache hit rate from the
+scraped "server" counters gates against a relative drop past the serve
+threshold.  The "parallel" section's "identical" flag (parallel results
+byte-identical to sequential) and the "cbdd" ablation's
+verdicts_identical flag always gate; their timings are reported
+ungated.
 
 Exit status is 0 unless --strict is given AND a gated regression was
 found AND the two runs were actually comparable (same jobs / quick /
@@ -48,16 +37,7 @@ import argparse
 import json
 import sys
 
-SCHEMAS = (
-    "bddmin-bench-engine/1",
-    "bddmin-bench-engine/2",
-    "bddmin-bench-engine/3",
-    "bddmin-bench-engine/4",
-    "bddmin-bench-engine/5",
-    "bddmin-bench-engine/6",
-    "bddmin-bench-engine/7",
-    "bddmin-bench-engine/8",
-)
+SCHEMAS = ("bddmin-bench-engine/8", "bddmin-bench-engine/9")
 
 # Counters that measure algorithmic work (deterministic for a given
 # configuration); capacities, live-node and hit-rate fields are
@@ -74,10 +54,7 @@ WORK_COUNTERS = (
 )
 
 # Configuration keys that must match for timings/counters to be
-# comparable.  "image" only exists from schema /2 on, "limits" (the
-# resource budgets) from /3 on, "repr" (the node representation) from
-# /8 on — a pre-/8 baseline is implicitly a plain-"bdd" run, so a
-# missing repr only mismatches a fresh "cbdd" one.
+# comparable.
 CONFIG_KEYS = ("jobs", "quick", "max_calls", "image", "limits", "repr")
 
 
@@ -124,11 +101,8 @@ def main():
 
     comparable = True
     for key in CONFIG_KEYS:
-        b, f = base.get(key), fresh.get(key)
-        if key == "repr":
-            # pre-/8 documents are implicitly plain-"bdd" runs
-            b, f = b or "bdd", f or "bdd"
-        if b is not None and f is not None and b != f:
+        b, f = base[key], fresh[key]
+        if b != f:
             print(f"note: {key} differs (baseline {b!r}, fresh {f!r})")
             comparable = False
     if base["schema"] != fresh["schema"]:
@@ -158,32 +132,30 @@ def main():
     print(f"\n{'engine counter':<24}{'baseline':>14}{'fresh':>14}   delta")
     be, fe = base["engine"], fresh["engine"]
     for key in WORK_COUNTERS:
-        if key not in be or key not in fe:
-            continue  # counter introduced by a later schema
         old, new = be[key], fe[key]
         d = pct(old, new)
         print(f"{key:<24}{old:>14}{new:>14}  {fmt_pct(d)}")
         if d is not None and d > args.count_threshold:
             regressions.append(f"counter {key}: {d:+.1f}%")
 
-    # Schema /3: did-not-finish rows.  A budgeted run with DNFs has
-    # incomparable minimizer totals (they skip the starved calls), so
-    # note them and keep the size gate off.
-    base_dnf, fresh_dnf = base.get("dnf", []), fresh.get("dnf", [])
+    # Did-not-finish rows.  A budgeted run with DNFs has incomparable
+    # minimizer totals (they skip the starved calls), so note them and
+    # keep the size gate off.
+    base_dnf, fresh_dnf = base["dnf"], fresh["dnf"]
     if base_dnf or fresh_dnf:
         print(f"\nDNF rows: baseline {len(base_dnf)}, fresh {len(fresh_dnf)}")
         for row in fresh_dnf:
             print(f"  fresh: {row['bench']} DNF({row['reason']})")
 
-    # Schema /4: serve section (null when the phase was skipped, absent
-    # before /4).  Throughput should not drop and tail latency should not
-    # grow — but both are wall-clock on possibly shared machines, so the
-    # gate is generous and only applies when the load shapes match.
-    base_srv, fresh_srv = base.get("serve"), fresh.get("serve")
+    # Serve section (null when the phase was skipped).  Throughput
+    # should not drop and tail latency should not grow — but both are
+    # wall-clock on possibly shared machines, so the gate is generous
+    # and only applies when the load shapes match.
+    base_srv, fresh_srv = base["serve"], fresh["serve"]
 
     def reply_rate(srv, key):
-        """Per-request rate of a /5 reply-status count, None pre-/5."""
-        if srv is None or key not in srv or not srv.get("requests"):
+        """Per-request rate of a reply-status count."""
+        if not srv["requests"]:
             return None
         return srv[key] / srv["requests"]
 
@@ -213,20 +185,14 @@ def main():
                     and d > args.serve_threshold:
                 regressions.append(f"serve {key}: {d:+.1f}%"
                                    f" (threshold {args.serve_threshold:.0f}%)")
-        # Schema /5: per-status reply counts.  Error and dnf *rates* gate
-        # on any increase between comparable runs (they are determinism,
-        # not wall-clock); pre-/5 baselines lack the counts, so only the
-        # fresh side's absolute errors gate then.
-        # busy_replies (schema /6) are backpressure refusals, reported
+        # Per-status reply counts.  Error and dnf *rates* gate on any
+        # increase between comparable runs (they are determinism, not
+        # wall-clock).  busy_replies are backpressure refusals, reported
         # but never gated as errors.
         for key in ("ok_replies", "dnf_replies", "partial_replies",
                     "busy_replies", "error_replies"):
-            old, new = base_srv.get(key), fresh_srv.get(key)
-            if old is None and new is None:
-                continue
-            print(f"{key:<24}"
-                  f"{'—' if old is None else old:>14}"
-                  f"{'—' if new is None else new:>14}")
+            old, new = base_srv[key], fresh_srv[key]
+            print(f"{key:<24}{old:>14}{new:>14}")
             if key in ("dnf_replies", "error_replies") and comparable \
                     and same_load:
                 old_rate = reply_rate(base_srv, key)
@@ -241,11 +207,11 @@ def main():
         if fresh_srv["error_replies"]:
             regressions.append(
                 f"serve: {fresh_srv['error_replies']} error replies")
-        # Schema /5: server-side phase means (reported, never gated —
-        # they are sub-slices of the latency already gated above).
-        fresh_tel = fresh_srv.get("telemetry")
+        # Server-side phase means (reported, never gated — they are
+        # sub-slices of the latency already gated above).
+        fresh_tel = fresh_srv["telemetry"]
         if fresh_tel:
-            base_tel = base_srv.get("telemetry") or {}
+            base_tel = base_srv["telemetry"] or {}
             print(f"  telemetry over {fresh_tel['explained']} explained"
                   " replies (us, server-side means):")
             for key in ("queue_us_mean", "exec_us_mean", "write_us_mean"):
@@ -254,26 +220,25 @@ def main():
                 print(f"    {key:<20}"
                       f"{'—' if old is None else format(old, '>12.1f'):>14}"
                       f"{new:>14.1f}  {fmt_pct(d)}")
-        # Schema /6: scraped daemon counters.  Cache traffic is
-        # deterministic for a given load shape, so the hit rate gates
-        # (relative drop past the serve threshold) between comparable
-        # runs; the session/batch/busy counters are informational.
+        # Scraped daemon counters.  Cache traffic is deterministic for a
+        # given load shape, so the hit rate gates (relative drop past
+        # the serve threshold) between comparable runs; the session and
+        # busy counters are informational.
         def cache_hit_rate(srv):
-            ctr = (srv or {}).get("server")
+            ctr = srv["server"]
             if not ctr:
                 return None
             hits = ctr["cache_hits"] + ctr["cache_canonical_hits"]
             lookups = hits + ctr["cache_misses"]
             return hits / lookups if lookups else None
 
-        fresh_ctr = fresh_srv.get("server")
+        fresh_ctr = fresh_srv["server"]
         if fresh_ctr:
-            base_ctr = base_srv.get("server") or {}
+            base_ctr = base_srv["server"] or {}
             print("  server counters:")
             for key in ("cache_hits", "cache_canonical_hits", "cache_misses",
                         "cache_collapsed", "cache_evicted", "sessions_opened",
-                        "sessions_evicted", "batches", "batched_requests",
-                        "busy_replies"):
+                        "sessions_evicted", "busy_replies"):
                 old, new = base_ctr.get(key), fresh_ctr[key]
                 print(f"    {key:<22}"
                       f"{'—' if old is None else old:>12}{new:>12}")
@@ -293,13 +258,13 @@ def main():
                     f" {100 * new_rate:.1f}%"
                     f" (threshold -{args.serve_threshold:.0f}%)")
 
-    # Schema /7: parallel-engine section (null when the phase was
-    # skipped, absent before /7).  The canonical-identity flag gates
+    # Parallel-engine section (null when the phase was skipped).  The
+    # canonical-identity flag gates
     # unconditionally — a parallel run that diverges from sequential is
     # a correctness bug, not a perf regression.  Timings and contention
     # telemetry are reported only: wall-clock speedup depends on the
     # host's core count.
-    base_par, fresh_par = base.get("parallel"), fresh.get("parallel")
+    base_par, fresh_par = base["parallel"], fresh["parallel"]
     if fresh_par:
         print(f"\n{'parallel':<24}{'baseline':>14}{'fresh':>14}")
         for key in ("jobs", "stripes", "views", "live_nodes",
@@ -321,11 +286,11 @@ def main():
             regressions.append(
                 "parallel: results diverged from sequential run")
 
-    # Schema /8: CBDD ablation section (null when the phase was skipped,
-    # absent before /8).  verdicts_identical gates unconditionally — a
+    # CBDD ablation section (null when the phase was skipped).
+    # verdicts_identical gates unconditionally — a
     # chain-reduced capture must reach every plain verdict; compression
     # is reported only (it depends on the suite's chain structure).
-    base_cbdd, fresh_cbdd = base.get("cbdd"), fresh.get("cbdd")
+    base_cbdd, fresh_cbdd = base["cbdd"], fresh["cbdd"]
     if fresh_cbdd:
         print(f"\n{'cbdd ablation':<24}{'baseline':>14}{'fresh':>14}")
         for key in ("calls", "plain_total", "chain_total"):
@@ -352,10 +317,10 @@ def main():
             continue
         sized = m["total_size"] - old["total_size"]
         d = pct(old["total_seconds"], m["total_seconds"])
-        dnf_calls = m.get("dnf_calls", 0) + old.get("dnf_calls", 0)
+        dnf_calls = m["dnf_calls"] + old["dnf_calls"]
         print(f"{m['name']:<12}{m['total_size']:>10}{sized:>+8}"
               f"{m['total_seconds']:>11.3f}s  {fmt_pct(d)}"
-              + (f"  ({m.get('dnf_calls', 0)} DNF)" if dnf_calls else ""))
+              + (f"  ({m['dnf_calls']} DNF)" if dnf_calls else ""))
         # result sizes are deterministic per configuration: any drift in
         # a comparable run means the minimizers changed behaviour (DNFs
         # on either side make the totals cover different call sets)

@@ -90,13 +90,12 @@ let protocol_parse () =
 
 (* ----- in-process server ----- *)
 
-let with_server ?(workers = 2) ?queue_cap ?max_sessions ?batch_threshold
-    ?cache_capacity f =
+let with_server ?(workers = 2) ?queue_cap ?max_sessions ?cache_capacity f =
   let path = Filename.temp_file "bddmin-test" ".sock" in
   Sys.remove path;
   let srv =
-    Serve.Server.start ~workers ?queue_cap ?max_sessions ?batch_threshold
-      ?cache_capacity (Serve.Server.Unix_path path)
+    Serve.Server.start ~workers ?queue_cap ?max_sessions ?cache_capacity
+      (Serve.Server.Unix_path path)
   in
   Fun.protect
     ~finally:(fun () -> Serve.Server.stop srv)
@@ -472,8 +471,7 @@ let serve_shutdown_op () =
   Serve.Server.wait srv;
   Util.checkb "socket removed" (not (Sys.file_exists path))
 
-(* ----- throughput machinery: backpressure, cache, sessions, batching,
-   EDF ----- *)
+(* ----- throughput machinery: backpressure, cache, sessions, EDF ----- *)
 
 let metrics_of addr =
   let c = C.connect addr in
@@ -486,13 +484,12 @@ let sub_field m obj field =
   | None -> Alcotest.failf "metrics lack the %s section" obj
 
 let serve_backpressure_busy () =
-  (* One worker, a single admission slot, cache and batching off: with
+  (* One worker, a single admission slot, cache off: with
      the worker pinned by a heavy request, pipelined small requests
      overflow the queue and are refused with busy + retry_after_ms —
      yet every request still gets exactly one reply, and the admission
      gauge never exceeded its bound. *)
-  with_server ~workers:1 ~queue_cap:1 ~cache_capacity:0 ~batch_threshold:0
-  @@ fun _srv addr ->
+  with_server ~workers:1 ~queue_cap:1 ~cache_capacity:0 @@ fun _srv addr ->
   with_raw addr @@ fun fd ->
   raw_minimize fd ~id:1 heavy_payload;
   let flood = 6 in
@@ -526,7 +523,7 @@ let serve_cache_single_flight () =
      one execution (the follower is answered from the leader's result);
      a third identical request after completion is a straight cache
      hit. *)
-  with_server ~workers:1 ~batch_threshold:0 @@ fun _srv addr ->
+  with_server ~workers:1 @@ fun _srv addr ->
   with_raw addr @@ fun fd ->
   raw_minimize fd ~id:1 heavy_payload;
   raw_minimize fd ~id:2 payload;
@@ -598,17 +595,210 @@ let serve_sessions () =
   Util.checkb "close counted" (sub_field m "sessions" "closed" >= 1);
   Util.checki "one session live" 1 (sub_field m "sessions" "live")
 
-let serve_batch_isolation () =
-  (* Small sessionless payloads queued behind a pinned worker coalesce
-     onto one batch manager; a bad item inside the batch fails alone
-     while its neighbours complete. *)
+(* ----- differential replay: served verdicts equal offline ones ----- *)
+
+(* One minimize of a replayed stream: what was sent and under which
+   budget and representation. *)
+type replay = {
+  text : string;
+  heuristic : string;
+  repr : Bdd.repr;
+  max_nodes : int option;
+  max_steps : int option;
+}
+
+(* The offline run of [r]: a fresh manager of its representation with
+   the payload loaded, the heuristic run under the same budget.  Also
+   returns the run's peak live node count, so a stream can place node
+   budgets around it. *)
+let offline_run r =
+  let man = Bdd.create ~repr:r.repr () in
+  let spec =
+    match Bdd.Store.load man r.text with
+    | Ok roots ->
+      Minimize.Ispec.make ~f:(List.assoc "f" roots) ~c:(List.assoc "c" roots)
+    | Error msg -> Alcotest.failf "offline load: %s" msg
+  in
+  let entry = Option.get (Minimize.Registry.find r.heuristic) in
+  let budget =
+    Bdd.Budget.create ?max_nodes:r.max_nodes ?max_steps:r.max_steps ()
+  in
+  let verdict =
+    match Minimize.Registry.run entry (Minimize.Ctx.make ~budget man) spec with
+    | cover -> `Ok (Bdd.Metric.plain_equivalent man cover)
+    | exception Bdd.Budget_exhausted _ -> `Dnf
+  in
+  (verdict, (Bdd.snapshot man).Bdd.Stats.peak_live_nodes)
+
+let served_verdict (reply : P.reply) =
+  match reply.P.status with
+  | "ok" -> `Ok (Option.get (J.int_field "size" reply.P.result))
+  | "dnf" -> `Dnf
+  | s ->
+    Alcotest.failf "reply %d: unexpected status %s (%s)" reply.P.reply_id s
+      (Option.value ~default:"" reply.P.message)
+
+let show_verdict = function
+  | `Ok n -> Printf.sprintf "ok size %d" n
+  | `Dnf -> "dnf"
+
+let show_replay r =
+  Printf.sprintf "%s/%s nodes=%s steps=%s" r.heuristic (Bdd.repr_label r.repr)
+    (match r.max_nodes with Some n -> string_of_int n | None -> "-")
+    (match r.max_steps with Some n -> string_of_int n | None -> "-")
+
+let check_offline what r verdict =
+  let expected, _ = offline_run r in
+  Util.check Alcotest.string
+    (Printf.sprintf "%s (%s) matches offline" what (show_replay r))
+    (show_verdict expected) (show_verdict verdict)
+
+let send_replay fd ~id r =
+  P.write_frame fd
+    (P.render_request ~id ~repr:r.repr
+       ?budget:(P.render_budget ?max_nodes:r.max_nodes ?max_steps:r.max_steps ())
+       [ ("op", J.Str "minimize"); ("bdd", J.Str r.text);
+         ("heuristic", J.Str r.heuristic) ])
+
+(* A seeded stream over a few small payloads: every heuristic and
+   representation, no budget, node budgets just below, at and well
+   above the request's own offline peak, and step budgets; a third of
+   the items repeat an earlier one exactly. *)
+let replay_stream ~seed ~length =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let payloads =
+    List.init 4 (fun k ->
+        Serve.Loadgen.build_payload ~nvars:(6 + (k mod 2)) ~seed:(500 + k))
+  in
+  let fresh () =
+    let r =
+      { text = pick payloads;
+        heuristic = pick [ "sched"; "osm_bt"; "tsm_td"; "restr" ];
+        repr = pick [ `Bdd; `Cbdd ];
+        max_nodes = None; max_steps = None }
+    in
+    match Random.State.int rng 3 with
+    | 0 -> r
+    | 1 ->
+      let _, peak = offline_run r in
+      { r with max_nodes = Some (peak + pick [ -8; 4; 400 ]) }
+    | _ -> { r with max_steps = Some (pick [ 20; 200; 2000 ]) }
+  in
+  let rec go acc n =
+    if n = 0 then List.rev acc
+    else
+      let r =
+        if acc <> [] && Random.State.int rng 3 = 0 then pick acc else fresh ()
+      in
+      go (r :: acc) (n - 1)
+  in
+  go [] length
+
+let serve_differential_replay () =
+  (* One worker pinned by a heavy request, so the whole stream queues
+     up behind it; then every reply must equal the offline run of its
+     own request, whatever else was queued, cached or collapsed next to
+     it.  A leading blank line makes a differently formatted upload of
+     an already-served instance, answered from the canonical entry. *)
+  let stream = replay_stream ~seed:14 ~length:36 in
+  let has p = List.exists p stream in
+  Util.checkb "stream mixes heuristics, reprs, budgets and verdicts"
+    (List.for_all
+       (fun h -> has (fun r -> r.heuristic = h))
+       [ "sched"; "osm_bt"; "tsm_td"; "restr" ]
+     && has (fun r -> r.repr = `Bdd)
+     && has (fun r -> r.repr = `Cbdd)
+     && has (fun r -> r.max_nodes = None && r.max_steps = None)
+     && has (fun r -> r.max_nodes <> None)
+     && has (fun r -> r.max_steps <> None)
+     && has (fun r -> fst (offline_run r) = `Dnf));
+  let reformatted =
+    let r =
+      List.find (fun r -> fst (offline_run r) <> `Dnf) stream
+    in
+    { r with text = "\n" ^ r.text }
+  in
+  let items = Array.of_list (stream @ [ reformatted ]) in
+  with_server ~workers:1 @@ fun _srv addr ->
+  with_raw addr (fun fd ->
+      raw_minimize fd ~id:1 heavy_payload;
+      Array.iteri (fun i r -> send_replay fd ~id:(i + 2) r) items;
+      let replies = List.init (Array.length items + 1) (fun _ -> raw_recv fd) in
+      List.iter
+        (fun (reply : P.reply) ->
+           if reply.P.reply_id = 1 then
+             Util.check Alcotest.string "pinning request" "ok" reply.P.status
+           else
+             let r = items.(reply.P.reply_id - 2) in
+             check_offline
+               (Printf.sprintf "request %d" reply.P.reply_id)
+               r (served_verdict reply))
+        replies);
+  let m = metrics_of addr in
+  Util.checkb "duplicates answered from the cache"
+    (sub_field m "cache" "hits" + sub_field m "cache" "collapsed" >= 1);
+  Util.checkb "reformatted upload answered from the canonical entry"
+    (sub_field m "cache" "canonical_hits" >= 1);
+  (* unbudgeted minimizes against warm sessions *)
+  let c = C.connect addr in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  List.iteri
+    (fun k repr ->
+       let text = Serve.Loadgen.build_payload ~nvars:7 ~seed:(600 + k) in
+       let sid =
+         match C.session_open c ~repr text with
+         | Ok (`Session sid) -> sid
+         | Error msg -> Alcotest.failf "session_open: %s" msg
+       in
+       List.iter
+         (fun heuristic ->
+            let r =
+              { text; heuristic; repr; max_nodes = None; max_steps = None }
+            in
+            match C.minimize c ~heuristic (P.Session_ref sid) with
+            | Ok reply -> check_offline "session minimize" r (served_verdict reply)
+            | Error msg -> Alcotest.failf "transport error %s" msg)
+         [ "sched"; "osm_bt"; "tsm_td"; "restr"; "sched" ])
+    [ `Bdd; `Cbdd ]
+
+let serve_replay_node_budget () =
+  (* A node budget counts the live nodes of the manager the request runs
+     on.  Queued behind three unrelated requests, the target must still
+     see a manager of its own: its budget is its offline peak plus 4,
+     so any foreign node left in its manager shrinks what it may build
+     and worsens its cover. *)
+  with_server ~workers:1 ~cache_capacity:0 @@ fun _srv addr ->
+  with_raw addr @@ fun fd ->
+  raw_minimize fd ~id:1 heavy_payload;
+  for k = 1 to 3 do
+    raw_minimize fd ~id:(k + 1)
+      (Serve.Loadgen.build_payload ~nvars:6 ~seed:(300 + k))
+  done;
+  let target =
+    { text = Serve.Loadgen.build_payload ~nvars:7 ~seed:999;
+      heuristic = "sched"; repr = `Bdd; max_nodes = Some 254;
+      max_steps = None }
+  in
+  let _, peak = offline_run { target with max_nodes = None } in
+  Util.checki "target's offline peak" 250 peak;
+  send_replay fd ~id:5 target;
+  let replies = List.init 5 (fun _ -> raw_recv fd) in
+  List.iter
+    (fun (reply : P.reply) ->
+       Util.check Alcotest.string "every request ok" "ok" reply.P.status;
+       if reply.P.reply_id = 5 then begin
+         Util.check Alcotest.string "target's offline verdict" "ok size 30"
+           (show_verdict (fst (offline_run target)));
+         check_offline "target" target (served_verdict reply)
+       end)
+    replies
+
+let serve_failure_isolation () =
+  (* Requests queued behind a pinned worker: a bad one between two good
+     ones fails alone while its neighbours complete. *)
   let small k = Serve.Loadgen.build_payload ~nvars:6 ~seed:(300 + k) in
   let bad = "bdd 1\nroot g 0\n" in
-  (* the batch route keys on payload size, so pin the sizes down *)
-  Util.checkb "heavy payload rides above the batch threshold"
-    (String.length heavy_payload > 4096);
-  Util.checkb "small payloads ride below the batch threshold"
-    (String.length (small 1) <= 4096 && String.length bad <= 4096);
   with_server ~workers:1 ~cache_capacity:0 @@ fun _srv addr ->
   with_raw addr @@ fun fd ->
   raw_minimize fd ~id:1 heavy_payload;
@@ -623,10 +813,7 @@ let serve_batch_isolation () =
   in
   Util.check Alcotest.string "good item before the bad one" "ok" (status_of 2);
   Util.check Alcotest.string "bad item fails alone" "error" (status_of 3);
-  Util.check Alcotest.string "good item after the bad one" "ok" (status_of 4);
-  let m = metrics_of addr in
-  Util.checkb "batches counted" (sub_field m "batch" "batches" >= 1);
-  Util.checkb "batched requests counted" (sub_field m "batch" "requests" >= 3)
+  Util.check Alcotest.string "good item after the bad one" "ok" (status_of 4)
 
 let serve_edf_ordering () =
   (* With the single worker pinned, three queued requests with mixed
@@ -634,8 +821,7 @@ let serve_edf_ordering () =
      The deadlines are minutes out so nothing expires; only the order
      is under test. *)
   let p k = Serve.Loadgen.build_payload ~nvars:10 ~seed:(400 + k) in
-  with_server ~workers:1 ~cache_capacity:0 ~batch_threshold:0
-  @@ fun _srv addr ->
+  with_server ~workers:1 ~cache_capacity:0 @@ fun _srv addr ->
   with_raw addr @@ fun fd ->
   raw_minimize fd ~id:1 heavy_payload;
   raw_minimize fd ~id:2 ~timeout_ms:600_000 (p 1);
@@ -730,7 +916,12 @@ let suite =
     Alcotest.test_case "cache and single-flight collapse" `Quick
       serve_cache_single_flight;
     Alcotest.test_case "session lifecycle and eviction" `Quick serve_sessions;
-    Alcotest.test_case "batch failure isolation" `Quick serve_batch_isolation;
+    Alcotest.test_case "differential replay against offline" `Quick
+      serve_differential_replay;
+    Alcotest.test_case "node budget behind queued requests" `Quick
+      serve_replay_node_budget;
+    Alcotest.test_case "per-request failure isolation" `Quick
+      serve_failure_isolation;
     Alcotest.test_case "EDF ordering under mixed deadlines" `Quick
       serve_edf_ordering;
     Alcotest.test_case "loadgen smoke" `Quick loadgen_smoke;
