@@ -696,16 +696,6 @@ let bench_cmd =
         benches
     in
     let calls = suite.Harness.Capture.suite_calls in
-    (* the parallel-engine exhibit: seq-vs-par reachability on a shared
-       store, at least two worker domains so the concurrent tier is
-       actually exercised *)
-    Printf.eprintf "parallel phase: %d worker domains\n%!" (max 2 jobs);
-    let parallel, par_dt =
-      Obs.Clock.timed @@ fun () ->
-      Harness.Parbench.run ~jobs:(max 2 jobs)
-        ~progress:(fun m -> Printf.eprintf "  %s\n%!" m)
-        ()
-    in
     Printf.eprintf "cbdd ablation: re-capturing the quick suite\n%!";
     let cbdd, cbdd_dt =
       cbdd_phase ~config ~main_calls:calls
@@ -713,7 +703,7 @@ let bench_cmd =
     in
     let serve, phases =
       if serve_requests <= 0 then
-        (None, [ ("capture", dt); ("parallel", par_dt); ("cbdd", cbdd_dt) ])
+        (None, [ ("capture", dt); ("cbdd", cbdd_dt) ])
       else begin
         Printf.eprintf "serve phase: %d requests over %d clients\n%!"
           serve_requests serve_clients;
@@ -723,11 +713,10 @@ let bench_cmd =
             ~explain:true ()
         in
         ( Some stats,
-          [ ("capture", dt); ("parallel", par_dt); ("cbdd", cbdd_dt);
-            ("serve", serve_dt) ] )
+          [ ("capture", dt); ("cbdd", cbdd_dt); ("serve", serve_dt) ] )
       end
     in
-    Harness.Bench_json.write ?serve ~parallel ~cbdd ~repr ~path:out ~jobs
+    Harness.Bench_json.write ?serve ~cbdd ~repr ~path:out ~jobs
       ~quick ~max_calls
       ~image:(Fsm.Image.strategy_name image_strategy)
       ~limits:config.Harness.Capture.limits
@@ -784,10 +773,12 @@ let bench_cmd =
              "Runs the paper's capture experiment over the benchmark \
               machines (optionally on several worker domains; the \
               result data is byte-identical at any $(b,-j)) and writes \
-              a machine-readable JSON baseline: schema \
-              $(b,bddmin-bench-engine/4) with per-minimizer size/time \
+              a machine-readable JSON record: schema \
+              $(b,bddmin-bench-engine/10) with per-minimizer size/time \
               totals, capture wall time, the image strategy, the \
-              resource limits with any DNF rows they produced, a serve \
+              resource limits with any DNF rows they produced, the \
+              CBDD ablation (the quick suite re-captured under chain \
+              reduction, its verdicts compared to this run), a serve \
               throughput/latency section (see $(b,--serve-requests)), \
               and the summed engine counters of every benchmark \
               manager.  Under \

@@ -1,4 +1,4 @@
-(* Machine-readable benchmark baseline (BENCH_engine.json). *)
+(* Machine-readable benchmark record (BENCH_engine.json). *)
 
 let escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -18,44 +18,6 @@ let num f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
 
 let opt_int = function None -> "null" | Some i -> string_of_int i
 let opt_num = function None -> "null" | Some f -> num f
-
-(* Shared-store parallel-engine phase: the concurrent manager tier's
-   telemetry plus the seq-vs-par timing of the same workload and the
-   canonical-identity verdict.  [par_speedup] on a single-CPU host sits
-   near (or below) 1.0 — the section is still the record that the
-   parallel engine ran and matched. *)
-type parallel_stats = {
-  par_jobs : int;
-  par_stripes : int;
-  par_views : int;
-  par_live_nodes : int;
-  par_interned_total : int;
-  par_intern_retries : int;
-  par_gc_runs : int;
-  par_gc_reclaimed : int;
-  par_barrier_waits : int;
-  par_barrier_wait_ms : float;
-  par_seq_seconds : float;
-  par_par_seconds : float;
-  par_speedup : float;
-  par_identical : bool;  (** parallel results were the same canonical edges *)
-}
-
-let parallel_row = function
-  | None -> "null"
-  | Some p ->
-    Printf.sprintf
-      "{\"jobs\":%d,\"stripes\":%d,\"views\":%d,\"live_nodes\":%d,\
-       \"interned_total\":%d,\"intern_retries\":%d,\"gc_runs\":%d,\
-       \"gc_reclaimed\":%d,\"gc_barrier_waits\":%d,\
-       \"gc_barrier_wait_ms\":%s,\"seq_seconds\":%s,\"par_seconds\":%s,\
-       \"speedup\":%s,\"identical\":%b}"
-      p.par_jobs p.par_stripes p.par_views p.par_live_nodes
-      p.par_interned_total p.par_intern_retries p.par_gc_runs
-      p.par_gc_reclaimed p.par_barrier_waits
-      (num p.par_barrier_wait_ms)
-      (num p.par_seq_seconds) (num p.par_par_seconds) (num p.par_speedup)
-      p.par_identical
 
 (* CBDD ablation: the quick capture suite re-run under `Cbdd, compared
    against the plain run of the same workload. *)
@@ -112,7 +74,7 @@ let serve_row = function
       s.partial s.busy s.errors (telemetry_row s.telemetry)
       (server_row s.server)
 
-let render ?serve ?parallel ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
+let render ?serve ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
     ~max_calls ~image ~limits ~benches ~capture_seconds ~phases ~names
     ~(engine : Bdd.Stats.t) ~dnf (calls : Capture.call list) =
   let minimizer_rows =
@@ -203,7 +165,7 @@ let render ?serve ?parallel ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
   in
   Printf.sprintf
     "{\n\
-    \  \"schema\": \"bddmin-bench-engine/9\",\n\
+    \  \"schema\": \"bddmin-bench-engine/10\",\n\
     \  \"repr\": \"%s\",\n\
     \  \"jobs\": %d,\n\
     \  \"quick\": %b,\n\
@@ -215,7 +177,6 @@ let render ?serve ?parallel ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
     \  \"phases\": [%s],\n\
     \  \"minimizers\": [%s],\n\
     \  \"serve\": %s,\n\
-    \  \"parallel\": %s,\n\
     \  \"cbdd\": %s,\n\
     \  \"engine\": %s\n\
      }\n"
@@ -225,12 +186,12 @@ let render ?serve ?parallel ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
     (String.concat ", " dnf_rows)
     (String.concat ", " phase_rows)
     (String.concat ", " minimizer_rows)
-    (serve_row serve) (parallel_row parallel) (cbdd_row cbdd) engine_row
+    (serve_row serve) (cbdd_row cbdd) engine_row
 
-let write ?serve ?parallel ?cbdd ?repr ~path ~jobs ~quick ~max_calls ~image
+let write ?serve ?cbdd ?repr ~path ~jobs ~quick ~max_calls ~image
     ~limits ~benches ~capture_seconds ~phases ~names ~engine ~dnf calls =
   let doc =
-    render ?serve ?parallel ?cbdd ?repr ~jobs ~quick ~max_calls ~image ~limits
+    render ?serve ?cbdd ?repr ~jobs ~quick ~max_calls ~image ~limits
       ~benches ~capture_seconds ~phases ~names ~engine ~dnf calls
   in
   let oc = open_out path in

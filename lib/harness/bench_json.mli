@@ -1,10 +1,10 @@
-(** The machine-readable benchmark baseline ([BENCH_engine.json]).
+(** The machine-readable benchmark record ([BENCH_engine.json]).
 
-    One JSON document per benchmark run, schema ["bddmin-bench-engine/9"],
+    One JSON document per benchmark run, schema ["bddmin-bench-engine/10"],
     with every key always present:
 
     {v
-    schema       string  "bddmin-bench-engine/9"
+    schema       string  "bddmin-bench-engine/10"
     repr         string  "bdd" | "cbdd" — node representation of the run
     jobs         int     worker domains used for the capture suite
     quick        bool    small sub-suite?
@@ -22,11 +22,6 @@
                    dnf_replies, partial_replies, busy_replies,
                    error_replies, telemetry, server }
                  or null when the serve phase was skipped
-    parallel     { jobs, stripes, views, live_nodes, interned_total,
-                   intern_retries, gc_runs, gc_reclaimed,
-                   gc_barrier_waits, gc_barrier_wait_ms, seq_seconds,
-                   par_seconds, speedup, identical }
-                 or null when the parallel-engine phase was skipped
     cbdd         { calls, plain_total, chain_total, compression, seconds,
                    verdicts_identical }
                  — the CBDD ablation row (the quick suite re-captured
@@ -67,33 +62,14 @@
     column (physical nodes — equal to [total_size] under ["bdd"]) and
     the [cbdd] ablation section; [/9] dropped the two batch counters
     from the serve [server] object, since the daemon no longer batches
-    requests.
+    requests; [/10] dropped the [parallel] section — the shared-store
+    tier's bit-identity and telemetry are checked by the test suite,
+    and its timing is measured by the repo benchmark's verify
+    workload.
 
-    Committed snapshots of this file are the perf trajectory: every
-    change regenerates it ([make bench-json] or [bddmin bench]) and
-    diffs against the predecessor. *)
-
-type parallel_stats = {
-  par_jobs : int;  (** worker domains of the parallel-engine phase *)
-  par_stripes : int;  (** unique-table stripes of the shared store *)
-  par_views : int;  (** views attached at scrape time *)
-  par_live_nodes : int;
-  par_interned_total : int;
-  par_intern_retries : int;
-      (** interns that found their stripe lock already held *)
-  par_gc_runs : int;
-  par_gc_reclaimed : int;
-  par_barrier_waits : int;
-      (** domains blocked at the stop-the-world GC barrier *)
-  par_barrier_wait_ms : float;
-  par_seq_seconds : float;  (** same workload, sequential, same store *)
-  par_par_seconds : float;
-  par_speedup : float;  (** seq / par; ≈ 1.0 on a single-CPU host *)
-  par_identical : bool;
-      (** parallel results were the same canonical edges as sequential *)
-}
-(** The [parallel] section — concurrent manager telemetry plus the
-    seq-vs-par comparison of the phase's reachability workload. *)
+    The document is a record of one run, written by [bddmin bench];
+    performance comparisons across changes belong to the repo
+    benchmark ([benchmark/]), which repeats runs and reports spread. *)
 
 type cbdd_stats = {
   cbdd_calls : int;  (** measured calls of the ablation capture *)
@@ -110,7 +86,6 @@ type cbdd_stats = {
 
 val render :
   ?serve:Serve.Loadgen.stats ->
-  ?parallel:parallel_stats ->
   ?cbdd:cbdd_stats ->
   ?repr:Bdd.repr ->
   jobs:int ->
@@ -129,12 +104,11 @@ val render :
 (** Render the document.  [names] selects and orders the [minimizers]
     rows; [engine] and [dnf] are typically {!Capture.run_suite_stats}'s
     summed statistics and driver-exhaustion rows.  Non-finite floats
-    render as JSON [null]; an omitted [serve] or [parallel] renders as
+    render as JSON [null]; an omitted [serve] or [cbdd] renders as
     [null]. *)
 
 val write :
   ?serve:Serve.Loadgen.stats ->
-  ?parallel:parallel_stats ->
   ?cbdd:cbdd_stats ->
   ?repr:Bdd.repr ->
   path:string ->

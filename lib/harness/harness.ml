@@ -1,11 +1,9 @@
 (** Experiment harness: capture EBM instances from the FSM-equivalence
     application ({!Capture}), aggregate ({!Stats}), render the paper's
-    exhibits ({!Tables}), run the shared-store parallel-engine exhibit
-    ({!Parbench}) and emit the machine-readable benchmark baseline
+    exhibits ({!Tables}) and emit the machine-readable benchmark record
     ({!Bench_json}). *)
 
 module Capture = Capture
 module Stats = Stats
 module Tables = Tables
 module Bench_json = Bench_json
-module Parbench = Parbench

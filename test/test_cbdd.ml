@@ -91,6 +91,28 @@ let isop_differential =
             = Bdd.Metric.plain_equivalent mc rc.Isop.cover
        end)
 
+(* The §4.1.1 lower bound is compared against plain-equivalent sizes, so
+   it must be counted in that unit too: the same bound and the same
+   witness cube on both representations.  Dense onsets make the
+   constrained functions OR-chain-heavy, where physical and plain counts
+   part ways. *)
+let lower_bound_differential =
+  Util.qtest ~count:120 "lower bound agrees between reprs"
+    QCheck2.Gen.(
+      let* n = int_range 2 6 in
+      let* p = int_range 50 90 in
+      let* seed = int_bound 0xFFFFF in
+      return (n, p, seed))
+    (fun (n, p, seed) ->
+       let st = Random.State.make [| seed; n; 0x1b |] in
+       let tf = random_tt st n p and tc = random_tt st n 60 in
+       let run man =
+         let s = I.make ~f:(Tt.to_bdd man tf) ~c:(Tt.to_bdd man tc) in
+         if Bdd.is_zero s.I.c then None
+         else Some (Minimize.Lower_bound.witness man s)
+       in
+       run (plain ()) = run (chained ()))
+
 (* Chains must actually pay: a long disjunction is the worst case for a
    plain BDD (one node per variable) and a single chain node here. *)
 let chains_compress () =
@@ -261,6 +283,7 @@ let suite =
   [
     ops_differential;
     isop_differential;
+    lower_bound_differential;
     Alcotest.test_case "chains compress" `Quick chains_compress;
     Alcotest.test_case "On_growth policy (plain)" `Quick
       (on_growth_policy `Bdd);

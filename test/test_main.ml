@@ -33,6 +33,7 @@ let () =
       ("invariant", Test_invariant.suite);
       ("circuits", Test_circuits.suite);
       ("harness", Test_harness.suite);
+      ("ablations", Test_ablations.suite);
       ("obs", Test_obs.suite);
       ("metrics+flight", Test_metrics.suite);
       ("exec", Test_exec.suite);

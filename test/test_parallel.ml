@@ -106,8 +106,14 @@ let reach_par_differential () =
               (Printf.sprintf "%s: -j %d iterations" name jobs)
               seq_st.Fsm.Reach.iterations st.Fsm.Reach.iterations)
          [ 2; 4 ];
-       ignore (Bdd.Shared.self_check store))
-    [ "tlc"; "gray6"; "minmax4" ]
+       ignore (Bdd.Shared.self_check store);
+       (* the concurrent tier actually ran: striped table, interned
+          nodes, at least the attached view *)
+       let t = Bdd.Shared.telemetry store in
+       Util.checkb (name ^ ": stripes") (t.Bdd.Shared.stripes > 0);
+       Util.checkb (name ^ ": interned") (t.Bdd.Shared.interned_total > 0);
+       Util.checkb (name ^ ": views") (t.Bdd.Shared.views >= 1))
+    [ "tlc"; "gray6"; "minmax4"; "rnd344" ]
 
 (* ----- parallel vector minimization and care-set restriction ----- *)
 
