@@ -3,17 +3,14 @@
 
 include Core_dd
 
-(* The one front door for manager construction.  Lives here rather than
-   in [Core_dd] because installing a reordering policy needs [Reorder],
-   which itself depends on [Core_dd]. *)
+(* The one front door for manager construction. *)
 let create ?nvars ?(repr : Core_dd.repr = `Bdd) ?cache_bits ?cache_bytes
-    ?auto_gc ?budget ?(reorder_policy = Reorder.Policy.Manual) () =
+    ?auto_gc ?budget () =
   let man =
     Core_dd.new_man ?nvars ?cache_bits ?cache_budget:cache_bytes ?auto_gc
       ~chain:(repr = `Cbdd) ()
   in
   Core_dd.set_budget man budget;
-  Reorder.Policy.install man reorder_policy;
   man
 
 module Cube = Cube

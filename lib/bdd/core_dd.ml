@@ -56,24 +56,7 @@ type node = {
 
 and t = { neg : bool; node : node }
 
-type engine_event =
-  | Gc_run of { reclaimed : int; live_nodes : int }
-  | Cache_grown of { old_capacity : int; new_capacity : int }
-  | Table_grown of { old_capacity : int; new_capacity : int }
-
 type repr = [ `Bdd | `Cbdd ]
-
-(* Listener-side state of an [On_growth] reordering policy (owned by
-   [Reorder.Policy]; the engine only stores it so a rebuilt manager can
-   inherit the installed policy). *)
-type reorder_policy_state = {
-  rp_factor : int;
-  rp_max_passes : int;
-  mutable rp_passes : int;
-  mutable rp_baseline : int;            (* capacity the factor is judged against *)
-  mutable rp_pending : bool;            (* set by the listener, consumed at a
-                                           clean operation boundary *)
-}
 
 (* Resource budgets.  A budget is installed per manager and consulted by
    the kernels exactly at their cache-missing recursion steps (where the
@@ -155,10 +138,6 @@ type man = {
   mutable gc_runs : int;
   mutable gc_nodes : int;
   mutable peak_live : int;
-  (* observability: engine-event listeners (GC runs, cache growth) *)
-  mutable listeners : (engine_event -> unit) list;
-  (* dynamic-reordering policy installed by [Reorder.Policy] *)
-  mutable reorder_state : reorder_policy_state option;
   (* concurrent tier: Some store makes this manager a per-domain view *)
   shared : shared option;
   mutable op_depth : int;       (* nesting of barrier-bracketed operations *)
@@ -284,13 +263,9 @@ let new_man ?(nvars = 0) ?(cache_bits = default_cache_bits)
     gc_runs = 0;
     gc_nodes = 0;
     peak_live = 0;
-    listeners = [];
-    reorder_state = None;
     shared = None;
     op_depth = 0;
   }
-
-let on_event man f = man.listeners <- f :: man.listeners
 
 let repr man : repr = if man.chain then `Cbdd else `Bdd
 
@@ -301,37 +276,25 @@ let repr_of_string = function
   | "cbdd" -> Some `Cbdd
   | _ -> None
 
-let reorder_state man = man.reorder_state
-let set_reorder_state man s = man.reorder_state <- s
+(* Engine events show up as instant events in the current trace, so a GC
+   run or a table resize is visible amid the spans it interrupts. *)
+let trace_gc ~reclaimed ~live_nodes =
+  if Obs.Trace.enabled () then
+    Obs.Trace.instant "bdd.gc"
+      ~attrs:
+        [
+          ("reclaimed", Obs.Trace.Int reclaimed);
+          ("live_nodes", Obs.Trace.Int live_nodes);
+        ]
 
-(* Events also show up as instant events in the current trace, so a GC
-   run or a cache resize is visible amid the spans it interrupts. *)
-let emit_event man ev =
-  if Obs.Trace.enabled () then begin
-    match ev with
-    | Gc_run { reclaimed; live_nodes } ->
-      Obs.Trace.instant "bdd.gc"
-        ~attrs:
-          [
-            ("reclaimed", Obs.Trace.Int reclaimed);
-            ("live_nodes", Obs.Trace.Int live_nodes);
-          ]
-    | Cache_grown { old_capacity; new_capacity } ->
-      Obs.Trace.instant "bdd.cache_grow"
-        ~attrs:
-          [
-            ("old_capacity", Obs.Trace.Int old_capacity);
-            ("new_capacity", Obs.Trace.Int new_capacity);
-          ]
-    | Table_grown { old_capacity; new_capacity } ->
-      Obs.Trace.instant "bdd.table_grow"
-        ~attrs:
-          [
-            ("old_capacity", Obs.Trace.Int old_capacity);
-            ("new_capacity", Obs.Trace.Int new_capacity);
-          ]
-  end;
-  List.iter (fun f -> f ev) man.listeners
+let trace_resize name ~old_capacity ~new_capacity =
+  if Obs.Trace.enabled () then
+    Obs.Trace.instant name
+      ~attrs:
+        [
+          ("old_capacity", Obs.Trace.Int old_capacity);
+          ("new_capacity", Obs.Trace.Int new_capacity);
+        ]
 
 let nvars man = man.vars
 
@@ -405,7 +368,7 @@ let cache_grow man =
          man.cres.(i) <- ores.(j)
        end)
     ok0;
-  emit_event man (Cache_grown { old_capacity = ocap; new_capacity = ncap })
+  trace_resize "bdd.cache_grow" ~old_capacity:ocap ~new_capacity:ncap
 
 let cache_store man k0 k1 k2 r =
   man.c_stores <- man.c_stores + 1;
@@ -582,7 +545,9 @@ let intern_shared sh var ~bot:bt ~hi:h ~lo:l =
     Mutex.lock st.st_lock
   end;
   if (st.st_count + 1) * 4 > (st.st_mask + 1) * 3 then begin
-    stripe_rebuild sh.sh_terminal st ((st.st_mask + 1) * 2) (fun _ -> true);
+    let old_capacity = st.st_mask + 1 in
+    stripe_rebuild sh.sh_terminal st (old_capacity * 2) (fun _ -> true);
+    trace_resize "bdd.table_grow" ~old_capacity ~new_capacity:(st.st_mask + 1);
     (* as in the private engine, a growing table arms a collection at
        the next operation boundary — but only if something is rooted *)
     if Atomic.get sh.sh_ext_refs > 0 then Atomic.set sh.sh_gc_wanted true
@@ -616,11 +581,8 @@ let[@inline] live_count man =
   | None -> man.ucount
   | Some sh -> Atomic.get sh.sh_live
 
-(* Intern a node whose then-edge is already regular.  The growth path
-   additionally publishes a [Table_grown] event: listeners run mid-intern
-   (inside the operation bracket), so they must only record state — the
-   [Reorder.Policy] listener sets a pending flag that is consumed at a
-   clean operation boundary. *)
+(* Intern a node whose then-edge is already regular; a growing table
+   is traced. *)
 let intern_private man var ~bot:bt ~hi:h ~lo:l =
   assert (not h.neg);
   if (man.ucount + 1) * 4 > (man.umask + 1) * 3 then begin
@@ -629,8 +591,8 @@ let intern_private man var ~bot:bt ~hi:h ~lo:l =
     (* A growing table is the GC trigger: if external roots are in use,
        request a collection at the next operation boundary. *)
     if man.auto_gc && Hashtbl.length man.refs > 0 then man.gc_wanted <- true;
-    emit_event man
-      (Table_grown { old_capacity; new_capacity = man.umask + 1 })
+    trace_resize "bdd.table_grow" ~old_capacity
+      ~new_capacity:(man.umask + 1)
   end;
   let hid = h.node.id and luid = uid l in
   let mask = man.umask in
@@ -852,7 +814,7 @@ let gc_internal man roots =
   let reclaimed = before - live in
   man.gc_runs <- man.gc_runs + 1;
   man.gc_nodes <- man.gc_nodes + reclaimed;
-  emit_event man (Gc_run { reclaimed; live_nodes = live + 1 });
+  trace_gc ~reclaimed ~live_nodes:(live + 1);
   reclaimed
 
 (* Stop-the-world collection over a shared store.  The requesting
@@ -925,7 +887,7 @@ let shared_gc man sh roots =
   Condition.broadcast sh.sh_cv;
   Mutex.unlock sh.sh_lock;
   Mutex.unlock sh.sh_gc_lock;
-  emit_event man (Gc_run { reclaimed; live_nodes = !live + 1 });
+  trace_gc ~reclaimed ~live_nodes:(!live + 1);
   reclaimed
 
 let gc ?(roots = []) man =
@@ -1981,8 +1943,6 @@ module Shared = struct
         gc_runs = 0;
         gc_nodes = 0;
         peak_live = 0;
-        listeners = [];
-        reorder_state = None;
         shared = Some sh;
         op_depth = 0;
       }

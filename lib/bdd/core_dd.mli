@@ -57,8 +57,7 @@ val new_man :
     variable count; variables are created on demand by {!ithvar}.
 
     {b Deprecated entry point}: prefer [Bdd.create], which selects the
-    representation with [~repr], installs budgets and reordering
-    policies, and names the cache byte budget consistently.  [new_man]
+    representation with [~repr], installs budgets, and names the cache byte budget consistently.  [new_man]
     remains for low-level use; [chain] (default [false]) selects the
     chain-reduced representation directly.
 
@@ -228,44 +227,12 @@ val check_budget : man -> unit
 
 (** {1 Engine events}
 
-    Rare structural events — garbage collections and computed-cache
-    growth — are published both to registered listeners and, when
-    tracing is enabled, as [bdd.gc] / [bdd.cache_grow] instant events
-    on the current {!Obs.Trace} sink, so they appear amid the spans of
-    whatever operation triggered them. *)
-
-type engine_event =
-  | Gc_run of { reclaimed : int; live_nodes : int }
-  (** A mark-and-sweep collection finished ([live_nodes] includes the
-      terminal, matching {!Stats.t.live_nodes}). *)
-  | Cache_grown of { old_capacity : int; new_capacity : int }
-  (** The computed cache doubled (entry counts). *)
-  | Table_grown of { old_capacity : int; new_capacity : int }
-  (** The unique table doubled (slot counts).  Emitted by private
-      managers only — shared-store stripes grow under their stripe lock
-      and publish no per-view events.  This is the trigger
-      [Reorder.Policy.On_growth] subscribes to. *)
-
-val on_event : man -> (engine_event -> unit) -> unit
-(** Register a listener, called after each event for the lifetime of
-    the manager (listeners cannot be removed).  Listeners can fire {e in
-    the middle of a kernel recursion} ({!engine_event.Cache_grown} and
-    {!engine_event.Table_grown} are emitted from inside interning), so
-    they must only record state — never run manager operations. *)
-
-type reorder_policy_state = {
-  rp_factor : int;
-  rp_max_passes : int;
-  mutable rp_passes : int;
-  mutable rp_baseline : int;
-  mutable rp_pending : bool;
-}
-(** Listener-side state of a dynamic-reordering policy.  Owned by
-    [Reorder.Policy]; exposed here only so a rebuilt manager can inherit
-    the installed policy.  Not for general use. *)
-
-val reorder_state : man -> reorder_policy_state option
-val set_reorder_state : man -> reorder_policy_state option -> unit
+    Rare structural events — garbage collections, computed-cache growth
+    and unique-table growth (private tables and shared-store stripes
+    alike) — are published, when tracing is enabled, as [bdd.gc] /
+    [bdd.cache_grow] / [bdd.table_grow] instant events on the current
+    {!Obs.Trace} sink, so they appear amid the spans of whatever
+    operation triggered them. *)
 
 (** {1 Statistics} *)
 

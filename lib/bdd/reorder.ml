@@ -153,102 +153,3 @@ let sift ?(max_rounds = 2) man fs =
         by_population
     done;
     (placement_of_order n !best_order, !best_size)
-
-let sift_apply ?max_rounds man fs =
-  let placement, _ = sift ?max_rounds man fs in
-  let target, rebuilt = rebuild man ~placement fs in
-  (placement, target, rebuilt)
-
-(* Interned quantification cubes (Core_dd.cube_id) are variable-NAME
-   sets, and a rebuild renames variable [v] to [placement.(v)]; cube ids
-   from the old manager are meaningless against the new one and must be
-   re-interned under the renamed variables. *)
-let remap_cube ~placement vars =
-  List.map
-    (fun v ->
-       if v < 0 || v >= Array.length placement then
-         invalid_arg
-           (Printf.sprintf
-              "Reorder.remap_cube: variable %d outside the placement" v)
-       else placement.(v))
-    vars
-
-module Policy = struct
-  type t =
-    | Manual
-    | On_growth of { factor : int; max_passes : int }
-
-  let install man policy =
-    match policy with
-    | Manual -> Core_dd.set_reorder_state man None
-    | On_growth { factor; max_passes } ->
-      if factor < 2 then
-        invalid_arg "Reorder.Policy.install: factor must be >= 2";
-      if max_passes < 1 then
-        invalid_arg "Reorder.Policy.install: max_passes must be >= 1";
-      let st =
-        {
-          Core_dd.rp_factor = factor;
-          rp_max_passes = max_passes;
-          rp_passes = 0;
-          rp_baseline = 0;
-          rp_pending = false;
-        }
-      in
-      Core_dd.set_reorder_state man (Some st);
-      (* The listener fires from inside interning, so it only records
-         state; the actual sift runs from [check] at a clean boundary. *)
-      Core_dd.on_event man (fun ev ->
-          match (ev, Core_dd.reorder_state man) with
-          | (Core_dd.Table_grown { old_capacity; new_capacity }, Some st) ->
-            if st.Core_dd.rp_baseline = 0 then
-              st.Core_dd.rp_baseline <- old_capacity;
-            if
-              st.Core_dd.rp_passes < st.Core_dd.rp_max_passes
-              && new_capacity >= st.Core_dd.rp_factor * st.Core_dd.rp_baseline
-            then st.Core_dd.rp_pending <- true
-          | _ -> ())
-
-  let installed man =
-    match Core_dd.reorder_state man with
-    | None -> Manual
-    | Some st ->
-      On_growth
-        { factor = st.Core_dd.rp_factor; max_passes = st.Core_dd.rp_max_passes }
-
-  let pending man =
-    match Core_dd.reorder_state man with
-    | Some st -> st.Core_dd.rp_pending
-    | None -> false
-
-  let check ?max_rounds man fs =
-    match Core_dd.reorder_state man with
-    | None -> None
-    | Some st ->
-      if not st.Core_dd.rp_pending then None
-      else begin
-        st.Core_dd.rp_pending <- false;
-        let multi_view =
-          match Core_dd.Shared.store_of man with
-          | Some store -> Core_dd.Shared.view_count store > 1
-          | None -> false
-        in
-        if multi_view || st.Core_dd.rp_passes >= st.Core_dd.rp_max_passes then
-          None
-        else
-          match
-            (* An expired deadline or cancelled token aborts the sift
-               before any rebuild work starts. *)
-            Core_dd.check_budget man;
-            sift_apply ?max_rounds man fs
-          with
-          | (placement, target, rebuilt) ->
-            install target (installed man);
-            (match Core_dd.reorder_state target with
-             | Some st' -> st'.Core_dd.rp_passes <- st.Core_dd.rp_passes + 1
-             | None -> ());
-            Core_dd.set_budget target (Core_dd.current_budget man);
-            Some (placement, target, rebuilt)
-          | exception Core_dd.Budget_exhausted _ -> None
-      end
-end

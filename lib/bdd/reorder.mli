@@ -44,66 +44,3 @@ val sift :
     {!Core_dd.Shared.store} with more than one registered view: the
     repeated measurement walks would race other domains' collections.
     Detach down to a single view before reordering. *)
-
-val sift_apply :
-  ?max_rounds:int ->
-  Core_dd.man ->
-  Core_dd.t list ->
-  int array * Core_dd.man * Core_dd.t list
-(** {!sift} followed by {!rebuild} under the winning placement. *)
-
-val remap_cube : placement:int array -> int list -> int list
-(** Rename a quantification-cube variable set under a placement.
-
-    A rebuild renames variable [v] to [placement.(v)], but interned
-    cubes ({!Core_dd.cube_id}) are variable-{e name} sets interned in
-    the {e source} manager: their ids are meaningless against the
-    rebuilt manager, and even the raw variable lists point at the old
-    names.  Any cube carried across {!rebuild}/{!sift_apply} (or a
-    {!Policy.check} swap) must be passed through this function and
-    re-interned in the target manager.
-    @raise Invalid_argument when a variable falls outside the
-    placement. *)
-
-(** Event-driven dynamic reordering.
-
-    A policy installed on a manager watches
-    {!Core_dd.engine_event.Table_grown} events (emitted when the
-    private unique table doubles) and latches a {e pending} flag once
-    the table has grown by the configured factor over its size at
-    installation.  Listeners fire mid-kernel, so the sift itself never
-    runs from the event: callers invoke {!check} at clean operation
-    boundaries, where a pending flag triggers one sifting pass. *)
-module Policy : sig
-  type t =
-    | Manual  (** never reorder automatically (the default) *)
-    | On_growth of { factor : int; max_passes : int }
-    (** arm a sift once the unique table grows [factor]x beyond its
-        capacity at installation, at most [max_passes] times over the
-        manager's lifetime (counted across rebuilds) *)
-
-  val install : Core_dd.man -> t -> unit
-  (** Install the policy (replacing any previous one; [Manual] clears).
-      @raise Invalid_argument on [factor < 2] or [max_passes < 1]. *)
-
-  val installed : Core_dd.man -> t
-  (** The currently installed policy. *)
-
-  val pending : Core_dd.man -> bool
-  (** Whether a growth event has armed a reordering pass. *)
-
-  val check :
-    ?max_rounds:int ->
-    Core_dd.man ->
-    Core_dd.t list ->
-    (int array * Core_dd.man * Core_dd.t list) option
-  (** Run the armed pass, if any: [None] when nothing is pending, when
-      the pass allowance is spent, when the manager is a multi-view
-      shared store (see {!sift}'s restriction — checked, not raised),
-      or when the installed budget is already exhausted
-      ({!Core_dd.Budget_exhausted} is trapped and reported as [None],
-      with the pending flag consumed).  On success, behaves like
-      {!sift_apply}; the rebuilt manager inherits the representation,
-      the policy (with one more pass spent) and the source's budget.
-      Remember {!remap_cube} for any interned cubes. *)
-end

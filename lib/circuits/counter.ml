@@ -1,15 +1,12 @@
 module N = Fsm.Netlist
 
-let make ?(with_enable = true) ?(with_reset = false) ~width () =
+let make ~width () =
   if width <= 0 then invalid_arg "Counter.make: width must be positive";
   let b = N.create (Printf.sprintf "counter%d" width) in
-  let en = if with_enable then N.input b "en" else N.const_signal b true in
-  let rst = if with_reset then N.input b "rst" else N.const_signal b false in
+  let en = N.input b "en" in
   let q, set_q = N.word_latch b ~name:"q" ~width ~init:0 () in
   let incremented, carry = N.word_inc b q in
-  let held = N.word_mux b ~sel:en ~t1:incremented ~e0:q in
-  let zero = N.word_const b ~width 0 in
-  set_q (N.word_mux b ~sel:rst ~t1:zero ~e0:held);
+  set_q (N.word_mux b ~sel:en ~t1:incremented ~e0:q);
   N.output b "carry" (N.and_gate b en carry);
   Array.iteri (fun i qi -> N.output b (Printf.sprintf "q%d" i) qi) q;
   N.finalize b

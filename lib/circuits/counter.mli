@@ -2,10 +2,9 @@
     reachable, diameter [2^width]), producing long breadth-first traversals
     with highly structured frontiers. *)
 
-val make : ?with_enable:bool -> ?with_reset:bool -> width:int -> unit -> Fsm.Netlist.t
-(** A [width]-bit synchronous up-counter.  Inputs: [en] (when
-    [with_enable], default [true]) and [rst] (when [with_reset], default
-    [false]).  Outputs: [carry] (all ones) and the counter bits
+val make : width:int -> unit -> Fsm.Netlist.t
+(** A [width]-bit synchronous up-counter.  Input: [en] (count enable).
+    Outputs: [carry] (all ones, while enabled) and the counter bits
     [q0 … q{width-1}]. *)
 
 val modulo : width:int -> modulus:int -> Fsm.Netlist.t

@@ -20,20 +20,15 @@ let default_taps = function
   | 16 -> [ 3; 12; 14; 15 ]
   | w -> [ 0; w - 1 ]
 
-let make ?taps ?(with_input = false) ~width () =
+let make ~width () =
   if width < 2 then invalid_arg "Lfsr.make: width must be at least 2";
-  let taps = match taps with Some t -> t | None -> default_taps width in
-  if List.exists (fun t -> t < 0 || t >= width) taps then
-    invalid_arg "Lfsr.make: tap out of range";
+  let taps = default_taps width in
   let b = N.create (Printf.sprintf "lfsr%d" width) in
   let q, set_q = N.word_latch b ~name:"q" ~width ~init:1 () in
   let feedback =
     match List.map (fun t -> q.(t)) taps with
     | [] -> N.const_signal b false
     | t :: rest -> List.fold_left (N.xor_gate b) t rest
-  in
-  let feedback =
-    if with_input then N.xor_gate b feedback (N.input b "d") else feedback
   in
   let shifted =
     Array.init width (fun i -> if i = 0 then feedback else q.(i - 1))

@@ -1,10 +1,10 @@
 (** Fibonacci linear feedback shift registers: pseudo-random dense
     reachable sets (a maximal-period LFSR reaches all non-zero states). *)
 
-val make : ?taps:int list -> ?with_input:bool -> width:int -> unit -> Fsm.Netlist.t
-(** [make ~width ()] builds an LFSR seeded at 1.  [taps] are the feedback
-    bit positions (default: a maximal-length polynomial for widths up to
-    16, else [[0; width-1]]).  With [with_input], an external input [d] is
-    XORed into the feedback (a scrambler).  Outputs: [q0 … q{width-1}]. *)
+val make : width:int -> unit -> Fsm.Netlist.t
+(** [make ~width ()] builds an LFSR seeded at 1 with {!default_taps} as
+    its feedback bit positions.  Outputs: [q0 … q{width-1}]. *)
 
 val default_taps : int -> int list
+(** Feedback taps of a maximal-length polynomial for widths up to 16,
+    else [[0; width-1]]. *)

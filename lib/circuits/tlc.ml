@@ -2,10 +2,11 @@ module N = Fsm.Netlist
 
 (* States: 00 highway green, 01 highway yellow, 10 farm green,
    11 farm yellow.  The timer restarts on every state change; yellow
-   phases last [short] ticks (timer low bits), green phases [2^timer_bits]
-   ticks or until the sensor demands a switch. *)
-let make ?(timer_bits = 3) () =
-  if timer_bits < 1 then invalid_arg "Tlc.make: timer_bits must be >= 1";
+   phases last 4 ticks (the timer's two low bits), green phases
+   [2^timer_bits] ticks or until the sensor demands a switch. *)
+let timer_bits = 3
+
+let make () =
   let b = N.create "tlc" in
   let car = N.input b "car" in
   let s1, set_s1 = N.latch b ~name:"s1" ~init:false () in
@@ -16,11 +17,7 @@ let make ?(timer_bits = 3) () =
     N.word_eq b timer (N.word_const b ~width:timer_bits ((1 lsl timer_bits) - 1))
   in
   let short_max =
-    (* short timeout: low two bits (or one for 1-bit timers) saturated *)
-    let low_width = min 2 timer_bits in
-    N.word_eq b
-      (Array.sub timer 0 low_width)
-      (N.word_const b ~width:low_width ((1 lsl low_width) - 1))
+    N.word_eq b (Array.sub timer 0 2) (N.word_const b ~width:2 3)
   in
   let in_hg = N.and_gate b (N.not_gate b s1) (N.not_gate b s0) in
   let in_hy = N.and_gate b (N.not_gate b s1) s0 in

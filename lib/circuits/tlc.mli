@@ -2,7 +2,7 @@
     benchmark (the classic Mead–Conway highway/farm-road controller):
     a small control FSM plus a timer, sensor-driven. *)
 
-val make : ?timer_bits:int -> unit -> Fsm.Netlist.t
+val make : unit -> Fsm.Netlist.t
 (** Inputs: [car] (farm-road car sensor).  Outputs: [hl_green], [hl_yellow],
-    [hl_red], [fl_green], [fl_yellow], [fl_red].  [timer_bits] (default 3)
-    sets the long-timeout counter width. *)
+    [hl_red], [fl_green], [fl_yellow], [fl_red].  The long timeout is a
+    3-bit counter. *)

@@ -156,17 +156,12 @@ let image_scheduled_par ~(par : par) ?cluster_bound (sym : Symbolic.t) s =
    vector δ is the range of the vector (δ_j constrained by S).  Recursive
    output splitting; sound precisely because [constrain] distributes over
    vector composition. *)
-let image_by_range ?(on_constrain = fun _ -> ()) (sym : Symbolic.t) s =
+let image_by_range (sym : Symbolic.t) s =
   let man = sym.man in
   if Bdd.is_zero s then Bdd.zero man
   else begin
     let constrained =
-      Array.to_list
-        (Array.map
-           (fun d ->
-              on_constrain (Minimize.Ispec.make ~f:d ~c:s);
-              Bdd.constrain man d s)
-           sym.next_fns)
+      Array.to_list (Array.map (fun d -> Bdd.constrain man d s) sym.next_fns)
     in
     let vars = Array.to_list sym.state_vars in
     let rec range fns vars =
@@ -191,7 +186,7 @@ let image_by_range ?(on_constrain = fun _ -> ()) (sym : Symbolic.t) s =
     range constrained vars
   end
 
-let image ?(strategy = Partitioned) ?cluster_bound ?on_constrain ?par sym s =
+let image ?(strategy = Partitioned) ?cluster_bound ?par sym s =
   Obs.Trace.with_span "fsm.image"
     ~attrs:[ ("strategy", Obs.Trace.Str (strategy_name strategy)) ]
   @@ fun sp ->
@@ -203,7 +198,7 @@ let image ?(strategy = Partitioned) ?cluster_bound ?on_constrain ?par sym s =
       image_scheduled_par ~par ~cluster_bound:1 sym s
     | (Clustered, None) -> image_clustered ?cluster_bound sym s
     | (Clustered, Some par) -> image_scheduled_par ~par ?cluster_bound sym s
-    | (Range, _) -> image_by_range ?on_constrain sym s
+    | (Range, _) -> image_by_range sym s
   in
   if Obs.Trace.enabled () then begin
     Obs.Trace.add sp "source_nodes"

@@ -47,18 +47,13 @@ val strategy_of_name : string -> strategy option
 val image :
   ?strategy:strategy ->
   ?cluster_bound:int ->
-  ?on_constrain:(Minimize.Ispec.t -> unit) ->
   ?par:par ->
   Symbolic.t ->
   Bdd.t ->
   Bdd.t
 (** Successors of the given state set (default {!Partitioned}).
     [cluster_bound] only affects {!Clustered} (default
-    {!Qsched.default_cluster_bound}).  [on_constrain] observes the
-    generalized-cofactor calls of the {!Range} strategy (it is ignored by
-    the other strategies) — these are the incompletely specified
-    functions the paper's instrumented [verify_fsm] intercepts besides
-    the frontier minimizations.  [par] parallelizes the
+    {!Qsched.default_cluster_bound}).  [par] parallelizes the
     {!Partitioned}/{!Clustered} walks over its pool (see {!type-par});
     it is ignored by the other strategies. *)
 
@@ -69,10 +64,9 @@ val image_clustered : ?cluster_bound:int -> Symbolic.t -> Bdd.t -> Bdd.t
 (** Walk the machine's quantification schedule (computing it on first
     use), conjoining each cluster with the fused [and_exists] kernel. *)
 
-val image_by_range :
-  ?on_constrain:(Minimize.Ispec.t -> unit) -> Symbolic.t -> Bdd.t -> Bdd.t
-(** [on_constrain] sees each [[δ_j; S]] vector-cofactor instance (one per
-    next-state function per call), before the range recursion. *)
+val image_by_range : Symbolic.t -> Bdd.t -> Bdd.t
+(** Coudert–Madre range computation: the image is the range of the
+    next-state vector constrained by the state set. *)
 
 val preimage : Symbolic.t -> Bdd.t -> Bdd.t
 (** Predecessors of the given state set: [∃x',i. T(x,i,x')·S(x')]. *)

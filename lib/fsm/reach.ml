@@ -22,8 +22,7 @@ let constrain_minimizer man (s : Minimize.Ispec.t) =
 
 let no_minimizer _man (s : Minimize.Ispec.t) = s.Minimize.Ispec.f
 
-let reachable ?strategy ?cluster_bound ?par ?(node_stats = false)
-    ?(minimize = constrain_minimizer)
+let reachable ?strategy ?cluster_bound ?par ?(minimize = constrain_minimizer)
     ?(max_iterations = max_int) ?(on_instance = fun ~iteration:_ _ -> ())
     ?(on_image_constrain = fun ~iteration:_ _ -> ()) ?resume
     (sym : Symbolic.t) =
@@ -41,9 +40,9 @@ let reachable ?strategy ?cluster_bound ?par ?(node_stats = false)
       failwith "Reach.reachable: max_iterations exceeded"
     else begin
       (* Node counts cost a full traversal of both sets every iteration;
-         only pay for them when someone is looking (opt-in peak stats,
-         tracing, or debug logging). *)
-      let want_sizes = node_stats || debug_on || Obs.Trace.enabled () in
+         only pay for them when someone is looking (tracing or debug
+         logging). *)
+      let want_sizes = debug_on || Obs.Trace.enabled () in
       let frontier_nodes = if want_sizes then Bdd.size man frontier else 0 in
       let reached_nodes = if want_sizes then Bdd.size man reached else 0 in
       peak_frontier := max !peak_frontier frontier_nodes;

@@ -19,8 +19,8 @@ type stats = {
   iterations : int;
   reached_states : float;  (** satisfying assignments of the final [R] *)
   peak_frontier_nodes : int;
-  (** 0 unless node statistics were collected — pass [~node_stats:true],
-      enable tracing, or set the [bddmin.reach] log source to debug *)
+  (** 0 unless node statistics were collected — enable tracing or set
+      the [bddmin.reach] log source to debug *)
   peak_reached_nodes : int;  (** likewise *)
   minimization_calls : int;
   fixpoint : fixpoint;
@@ -38,7 +38,6 @@ val reachable :
   ?strategy:Image.strategy ->
   ?cluster_bound:int ->
   ?par:Image.par ->
-  ?node_stats:bool ->
   ?minimize:minimizer ->
   ?max_iterations:int ->
   ?on_instance:(iteration:int -> Minimize.Ispec.t -> unit) ->
@@ -53,10 +52,10 @@ val reachable :
     [par] dispatches each iteration's image merges onto a worker pool
     (see {!Image.type-par}) — results are bit-identical to a sequential
     run; it requires the machine's manager to be a shared-store view.
-    [node_stats] (default [false]) opts in to the per-iteration
-    frontier/reached node counts behind the peak statistics — a full
-    traversal of both sets per iteration, otherwise skipped unless
-    tracing or debug logging already wants them.  [on_image_constrain]
+    The per-iteration frontier/reached node counts behind the peak
+    statistics cost a full traversal of both sets per iteration, so they
+    are taken only when tracing or debug logging wants them.
+    [on_image_constrain]
     observes the vector-cofactor instances [[δ_j; S]] that a
     constrain-based image computation hands to [constrain] (emitted for
     every strategy, so interception does not force the exponential-prone

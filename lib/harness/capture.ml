@@ -26,8 +26,6 @@ type engine_config = {
   repr : Bdd.repr;
   lower_bound_cubes : int;
   self_product : bool;
-  flush_caches : bool;
-  include_image_instances : bool;
   jobs : int;
 }
 
@@ -59,8 +57,6 @@ let default_config =
         repr = `Bdd;
         lower_bound_cubes = 1000;
         self_product = true;
-        flush_caches = true;
-        include_image_instances = true;
         jobs = 1;
       };
     image = { strategy = Fsm.Image.Partitioned; cluster_bound = None };
@@ -84,20 +80,11 @@ let with_lower_bound_cubes lower_bound_cubes c =
 let with_self_product self_product c =
   { c with engine = { c.engine with self_product } }
 
-let with_flush_caches flush_caches c =
-  { c with engine = { c.engine with flush_caches } }
-
-let with_image_instances include_image_instances c =
-  { c with engine = { c.engine with include_image_instances } }
-
 let with_jobs jobs c = { c with engine = { c.engine with jobs } }
 let with_image_strategy strategy c = { c with image = { c.image with strategy } }
 
 let with_cluster_bound cluster_bound c =
   { c with image = { c.image with cluster_bound } }
-
-let with_max_iterations max_iterations c =
-  { c with limits = { c.limits with max_iterations } }
 
 let with_max_calls max_calls c = { c with limits = { c.limits with max_calls } }
 
@@ -141,7 +128,7 @@ let measure_call config ?cancelled man ~bench ~iteration ~origin
      the budgets govern one operation each, so an expensive entry DNFs
      on its own while the cheap ones still produce their exact rows. *)
   let run_entry (e : Minimize.Registry.entry) =
-    if config.engine.flush_caches then Bdd.clear_caches man;
+    Bdd.clear_caches man;
     let budget =
       opt_budget ?cancelled ~max_nodes:config.limits.node_budget
         ~max_steps:config.limits.step_budget
@@ -295,8 +282,7 @@ let run_bench_stats ?(config = default_config) ?cancel
       consider ~iteration ~origin:Frontier inst
     in
     let on_image_constrain ~iteration inst =
-      if config.engine.include_image_instances then
-        consider ~iteration ~origin:Image_cofactor inst
+      consider ~iteration ~origin:Image_cofactor inst
     in
     (* The driver (netlist elaboration + the reachability fixpoint) runs
        under its own budget.  The step limit is deliberately left out:

@@ -43,8 +43,8 @@ type call = {
   times : (string * float) list;  (** seconds per completed minimizer *)
   hit_rates : (string * float) list;
   (** computed-cache hit rate ([0, 1]) observed while each minimizer ran
-      (caches are flushed before each run when [flush_caches] is set, so
-      this measures the heuristic's own locality) *)
+      (caches are flushed before each run, so this measures the
+      heuristic's own locality) *)
   dnf : (string * string) list;
   (** minimizers that exhausted their budget on this call, with the
       {!Bdd.Budget.reason_label}; always [[]] when no budget is
@@ -75,11 +75,9 @@ type engine_config = {
   lower_bound_cubes : int;
   self_product : bool;
   (** intercept inside the product-machine self-equivalence check (the
-      paper's setup) rather than plain reachability *)
-  flush_caches : bool;
-  include_image_instances : bool;
-  (** also intercept the image computation's cofactor calls, as the
-      paper's instrumented [constrain] does *)
+      paper's setup) rather than plain reachability; the image
+      computation's cofactor calls are intercepted too, as the paper's
+      instrumented [constrain] does *)
   jobs : int;
   (** worker domains for {!run_suite_stats}: with [jobs > 1] the
       benchmarks run concurrently on an [Exec.Pool], one private BDD
@@ -101,6 +99,8 @@ type image_config = {
 
 type limits_config = {
   max_iterations : int;
+  (** fixpoint iteration cap of the driving reachability (default
+      100000) *)
   max_calls : int;  (** per-benchmark cap on measured calls *)
   node_budget : int option;
   (** per-manager live-node ceiling, enforced both on the driving
@@ -127,8 +127,8 @@ type config = {
 val default_config : config
 (** All paper entries (plus the [sched] extension), 1000 lower-bound
     cubes, product-machine interception, the partitioned image strategy
-    (the cofactor instances are emitted regardless of strategy), cache
-    flushing on, sequential ([jobs = 1]), at most 400 measured calls per
+    (the cofactor instances are emitted regardless of strategy),
+    sequential ([jobs = 1]), at most 400 measured calls per
     benchmark, and no budgets. *)
 
 (** {2 Builders} *)
@@ -137,12 +137,9 @@ val with_entries : Minimize.Registry.entry list -> config -> config
 val with_repr : Bdd.repr -> config -> config
 val with_lower_bound_cubes : int -> config -> config
 val with_self_product : bool -> config -> config
-val with_flush_caches : bool -> config -> config
-val with_image_instances : bool -> config -> config
 val with_jobs : int -> config -> config
 val with_image_strategy : Fsm.Image.strategy -> config -> config
 val with_cluster_bound : int option -> config -> config
-val with_max_iterations : int -> config -> config
 val with_max_calls : int -> config -> config
 val with_node_budget : int option -> config -> config
 val with_step_budget : int option -> config -> config

@@ -1,16 +1,13 @@
 type t = {
   man : Bdd.man;
   budget : Bdd.Budget.t option;
-  scope : string option;
 }
 
-let make ?budget ?scope man = { man; budget; scope }
-let of_man man = { man; budget = None; scope = None }
+let make ?budget man = { man; budget }
+let of_man man = { man; budget = None }
 let man t = t.man
 let budget t = t.budget
-let scope t = t.scope
 let with_budget budget t = { t with budget = Some budget }
-let with_scope scope t = { t with scope = Some scope }
 
 let protect t k =
   match t.budget with

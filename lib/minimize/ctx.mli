@@ -1,6 +1,5 @@
 (** Minimization context: everything a registry entry needs besides the
-    problem instance — the manager, an optional resource budget and an
-    optional trace scope.
+    problem instance — the manager and an optional resource budget.
 
     The context is what lets new knobs reach every minimizer without
     registry-wide signature churn: [Registry.entry.run] takes a [Ctx.t],
@@ -11,21 +10,16 @@ type t = {
   man : Bdd.man;
   budget : Bdd.Budget.t option;
       (** installed around the entry by [Registry.run] *)
-  scope : string option;
-      (** trace-span prefix; [Some "min"] makes [Registry.run] record a
-          ["min:<entry>"] span around each run *)
 }
 
-val make : ?budget:Bdd.Budget.t -> ?scope:string -> Bdd.man -> t
+val make : ?budget:Bdd.Budget.t -> Bdd.man -> t
 val of_man : Bdd.man -> t
-(** A context with no budget and no scope. *)
+(** A context with no budget. *)
 
 val man : t -> Bdd.man
 val budget : t -> Bdd.Budget.t option
-val scope : t -> string option
 
 val with_budget : Bdd.Budget.t -> t -> t
-val with_scope : string -> t -> t
 
 val protect : t -> (unit -> 'a) -> 'a
 (** Run the thunk with the context's budget installed on the context's

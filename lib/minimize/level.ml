@@ -15,7 +15,9 @@ let default_params =
 
 let gather man ~level ~only_rooted_at_next (s : Ispec.t) =
   ignore man;
-  let visited = Hashtbl.create 512 in
+  (* Tables start small enough for the minor heap (a 512-bucket array
+     is a major-heap allocation): most passes gather few pairs. *)
+  let visited = Hashtbl.create 64 in
   let out = ref [] in
   let rec go f c path =
     let key = (Bdd.uid f, Bdd.uid c) in
@@ -80,27 +82,23 @@ let fresh_graph_stats () =
 
 (* Solve FMM on one chunk of gathered pairs and record the replacements in
    [subst] (keyed by the (f, c) edge uids of each original pair). *)
-let solve_chunk ?par man crit params ~level ~gstats subst pairs =
+let solve_chunk man crit params ~level ~gstats subst pairs =
   (* Semantic deduplication: the matching graphs are defined over distinct
      incompletely specified functions, and BDD pairs differing only on
      don't-care values of [f] denote the same function (keeping duplicates
-     would create the two-cycles excluded by Proposition 10). *)
+     would create the two-cycles excluded by Proposition 10).  [index]
+     maps a canonical key straight to its group's member list. *)
   let index = Hashtbl.create 64 in
   let groups = ref [] in
-  let ngroups = ref 0 in
   List.iter
     (fun ((sp : Ispec.t), path) ->
        let key = Ispec.canonical_key man sp in
        match Hashtbl.find_opt index key with
-       | Some i ->
-         let rep, path0, members = List.nth !groups (!ngroups - 1 - i) in
-         ignore rep;
-         ignore path0;
-         members := sp :: !members
+       | Some members -> members := sp :: !members
        | None ->
-         Hashtbl.add index key !ngroups;
-         groups := (sp, path, ref [ sp ]) :: !groups;
-         incr ngroups)
+         let members = ref [ sp ] in
+         Hashtbl.add index key members;
+         groups := (sp, path, members) :: !groups)
     pairs;
   let groups = Array.of_list (List.rev !groups) in
   let m = Array.length groups in
@@ -120,36 +118,9 @@ let solve_chunk ?par man crit params ~level ~gstats subst pairs =
       List.iter (fun sp -> add_subst sp target) (members i)
   in
   gstats.vertices <- gstats.vertices + m;
-  (* With a parallel context the whole adjacency matrix is materialized
-     up front, one row per pool task on a checked-out view of the shared
-     store, and [probe] degrades to a lookup.  [matches] is a pure
-     function of two canonical specs, so the matrix holds exactly the
-     answers the sequential lazy probes would compute — the clique cover
-     and the DAG assignment see identical edges and produce identical
-     covers.  The counters still tick per {e lookup}, so the probe
-     telemetry matches a sequential run; the trade is eager evaluation
-     of the DMG edges the lazy sink-assignment might have skipped. *)
-  let lookup =
-    match par with
-    | Some par when m > 1 ->
-      let rows =
-        Par.map par
-          (fun view j ->
-             Array.init m (fun k ->
-                 j = k || Matching.matches view crit (rep j) (rep k)))
-          (List.init m Fun.id)
-      in
-      let matrix = Array.of_list rows in
-      Some (fun j k -> matrix.(j).(k))
-    | _ -> None
-  in
   let probe j k =
     gstats.edges_probed <- gstats.edges_probed + 1;
-    let r =
-      match lookup with
-      | Some look -> look j k
-      | None -> Matching.matches man crit (rep j) (rep k)
-    in
+    let r = Matching.matches man crit (rep j) (rep k) in
     if r then gstats.edges_matched <- gstats.edges_matched + 1;
     r
   in
@@ -193,7 +164,7 @@ let solve_chunk ?par man crit params ~level ~gstats subst pairs =
   else if m = 1 then merge_group 0 (rep 0)
 
 let rebuild man ~level subst (s : Ispec.t) =
-  let memo = Hashtbl.create 512 in
+  let memo = Hashtbl.create 64 in
   let rec go f c =
     let top = min (Bdd.topvar f) (Bdd.topvar c) in
     if top > level then
@@ -216,7 +187,7 @@ let rebuild man ~level subst (s : Ispec.t) =
   let f, c = go s.Ispec.f s.Ispec.c in
   Ispec.make ~f ~c
 
-let minimize_at_level ?par man ?(params = default_params) crit ~level
+let minimize_at_level man ?(params = default_params) crit ~level
     (s : Ispec.t) =
   Obs.Trace.with_span "level.pass"
     ~attrs:
@@ -245,7 +216,7 @@ let minimize_at_level ?par man ?(params = default_params) crit ~level
     let gstats = fresh_graph_stats () in
     let subst = Hashtbl.create 64 in
     List.iter
-      (fun ch -> solve_chunk ?par man crit params ~level ~gstats subst ch)
+      (fun ch -> solve_chunk man crit params ~level ~gstats subst ch)
       chunks;
     Obs.Trace.add sp "graph_vertices" (Obs.Trace.Int gstats.vertices);
     Obs.Trace.add sp "edges_probed" (Obs.Trace.Int gstats.edges_probed);
@@ -263,14 +234,14 @@ let max_level man (s : Ispec.t) =
   in
   List.fold_left max (-1) sup
 
-let minimize_all_levels ?par man ?params crit (s : Ispec.t) =
+let minimize_all_levels man ?params crit (s : Ispec.t) =
   let top = max_level man s in
   let rec go level spec =
     if level > top then spec
-    else go (level + 1) (minimize_at_level ?par man ?params crit ~level spec)
+    else go (level + 1) (minimize_at_level man ?params crit ~level spec)
   in
   go 0 s
 
-let opt_lv ?par man ?params (s : Ispec.t) =
+let opt_lv man ?params (s : Ispec.t) =
   if Bdd.is_zero s.Ispec.c then invalid_arg "Level.opt_lv: empty care set";
-  (minimize_all_levels ?par man ?params Matching.Tsm s).Ispec.f
+  (minimize_all_levels man ?params Matching.Tsm s).Ispec.f

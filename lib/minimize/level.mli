@@ -36,27 +36,18 @@ val max_level : Bdd.man -> Ispec.t -> int
     ([-1] for constants). *)
 
 val minimize_at_level :
-  ?par:Par.t ->
   Bdd.man -> ?params:params -> Matching.criterion -> level:int -> Ispec.t ->
   Ispec.t
 (** One application of level matching.  The result is an i-cover of the
     argument (care set only grows).  With criterion [Osm], the optimum
     below the level is preserved (Theorem 12).
-
-    [par] materializes the matching-graph adjacency matrix in parallel —
-    one pool task per graph vertex probes its row of match criteria on a
-    checked-out view of the shared store the manager must then belong
-    to.  Edge answers, clique covers and the resulting i-cover are
-    identical to a sequential run; the only behavioural difference is
-    that DMG edges the lazy sink-assignment would have skipped are
-    evaluated eagerly. *)
+ *)
 
 val minimize_all_levels :
-  ?par:Par.t ->
   Bdd.man -> ?params:params -> Matching.criterion -> Ispec.t -> Ispec.t
 (** Apply {!minimize_at_level} at every level in increasing order. *)
 
-val opt_lv : ?par:Par.t -> Bdd.man -> ?params:params -> Ispec.t -> Bdd.t
+val opt_lv : Bdd.man -> ?params:params -> Ispec.t -> Bdd.t
 (** The paper's [opt_lv] heuristic: [tsm] level matching at every level in
     increasing order; the final [f] part is returned (a valid cover, since
     each step yields an i-cover and [f' ] covers [[f'; c']]).  Requires a

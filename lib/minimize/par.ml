@@ -1,8 +1,7 @@
 (* Parallel execution context for shared-store workloads: an [Exec]
    worker pool plus the [Bdd.Shared] store whose views the workers
-   check out per task.  One context serves every parallel hot loop —
-   per-cluster image merges, per-output vector minimization, matching
-   graph construction — so a driver builds it once next to its pool. *)
+   check out per task.  Its one client is the image computation's
+   per-cluster merge tree; a caller builds it once next to its pool. *)
 
 type t = { pool : Exec.Pool.t; store : Bdd.Shared.store }
 

@@ -1,10 +1,9 @@
 (** Parallel execution context for shared-store workloads.
 
     Bundles an [Exec.Pool] with the {!Bdd.Shared.store} the operands
-    live in.  Parallel hot loops ({!Vector.minimize}, {!Level} matching
-    graph construction, [Fsm.Image]) take an optional context and
-    dispatch their independent sub-problems onto the pool, each task on
-    a view checked out with {!Bdd.Shared.with_view}.  Results are
+    live in.  [Fsm.Image] takes an optional context and dispatches its
+    independent [and_exists] merges onto the pool, each task on a view
+    checked out with {!Bdd.Shared.with_view}.  Results are
     deterministic: task lists and submission order are fixed by the
     caller, and BDD results are canonical store-wide, so a parallel run
     returns the same edges as the sequential one. *)

@@ -85,14 +85,8 @@ let find name = List.find_opt (fun e -> e.name = name) extended
 let names entries = List.map (fun e -> e.name) entries
 
 (* Run one entry under its context: the context's budget is installed on
-   the manager for the duration, and a trace span is recorded when the
-   context carries a scope. *)
-let run e (ctx : Ctx.t) s =
-  let body () = Ctx.protect ctx (fun () -> e.run ctx s) in
-  match ctx.Ctx.scope with
-  | None -> body ()
-  | Some scope ->
-    Obs.Trace.with_span (scope ^ ":" ^ e.name) (fun _ -> body ())
+   the manager for the duration. *)
+let run e (ctx : Ctx.t) s = Ctx.protect ctx (fun () -> e.run ctx s)
 
 let best ctx entries s =
   if entries = [] then invalid_arg "Registry.best: no entries";

@@ -14,7 +14,7 @@ type entry = {
   name : string;
   kind : kind;
   run : Ctx.t -> Ispec.t -> Bdd.t;
-      (** prefer {!run}, which honours the context's budget and scope *)
+      (** prefer {!run}, which honours the context's budget *)
 }
 
 val paper : entry list
@@ -38,8 +38,7 @@ val names : entry list -> string list
 
 val run : entry -> Ctx.t -> Ispec.t -> Bdd.t
 (** Run one entry under a context: the context's budget (if any) is
-    installed on the manager for the duration, and when the context has
-    a scope a ["<scope>:<name>"] trace span is recorded around the run.
+    installed on the manager for the duration.
     @raise Bdd.Budget_exhausted when the budget trips. *)
 
 val best : Ctx.t -> entry list -> Ispec.t -> string * Bdd.t

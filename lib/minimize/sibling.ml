@@ -83,7 +83,9 @@ let finish_pass sp ~matches ~compl_matches ~recursions ~max_depth =
 let run man cfg (s : Ispec.t) =
   if Bdd.is_zero s.c then invalid_arg "Sibling.run: empty care set";
   Obs.Trace.with_span "sibling.pass" ~attrs:(pass_attrs cfg) @@ fun sp ->
-  let cache = Hashtbl.create 512 in
+  (* 64 buckets keep the table in the minor heap (a 512-bucket array is
+     a major-heap allocation); most passes are small. *)
+  let cache = Hashtbl.create 64 in
   let matches = ref 0 and compl_matches = ref 0 in
   let recursions = ref 0 and max_depth = ref 0 in
   let rec go depth f c =
@@ -146,7 +148,7 @@ let transform_window man cfg ~lo ~hi (s : Ispec.t) =
       (pass_attrs cfg
        @ [ ("lo", Obs.Trace.Int lo); ("hi", Obs.Trace.Int hi) ])
   @@ fun sp ->
-  let cache = Hashtbl.create 512 in
+  let cache = Hashtbl.create 64 in
   let matches = ref 0 and compl_matches = ref 0 in
   let recursions = ref 0 and max_depth = ref 0 in
   let rec go depth f c =

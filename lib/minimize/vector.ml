@@ -18,7 +18,7 @@ let selector_cube man ~bits j =
   in
   go (bits - 1) (Bdd.one man)
 
-let minimize ?par man ~minimizer instances =
+let minimize man ~minimizer instances =
   (match instances with
    | [] -> invalid_arg "Vector.minimize: empty vector"
    | _ -> ());
@@ -57,34 +57,26 @@ let minimize ?par man ~minimizer instances =
   in
   let _, big_f, big_c = combined in
   let cover = minimizer man (Ispec.make ~f:big_f ~c:big_c) in
-  let extract man j =
+  let extract j =
     let rec go v g =
       if v >= bits then g else go (v + 1) (Bdd.cofactor man g ~var:v ((j lsr v) land 1 = 1))
     in
     go 0 cover
   in
-  let covers =
-    (* per-output cover recovery is independent cofactoring of the joint
-       cover; with a context each output extracts on its own view of the
-       shared store, producing the same canonical edges in any order *)
-    match par with
-    | Some par when n > 1 ->
-      Par.map par extract (List.mapi (fun j _ -> j) instances)
-    | _ -> List.mapi (fun j _ -> extract man j) instances
-  in
+  let covers = List.mapi (fun j _ -> extract j) instances in
   {
     covers;
     shared_before;
     shared_after = Bdd.shared_size man covers;
   }
 
-let minimize_renamed ?par man ~minimizer instances =
+let minimize_renamed man ~minimizer instances =
   (match instances with
    | [] -> invalid_arg "Vector.minimize_renamed: empty vector"
    | _ -> ());
   let n = List.length instances in
   let bits = bits_needed n in
-  if bits = 0 then minimize ?par man ~minimizer instances
+  if bits = 0 then minimize man ~minimizer instances
   else begin
     let union_support (s : Ispec.t) =
       List.sort_uniq compare (Bdd.support man s.f @ Bdd.support man s.c)
@@ -101,7 +93,7 @@ let minimize_renamed ?par man ~minimizer instances =
            Ispec.make ~f:(shift up s.f) ~c:(shift up s.c))
         instances
     in
-    let r = minimize ?par man ~minimizer shifted in
+    let r = minimize man ~minimizer shifted in
     let covers = List.map (shift down) r.covers in
     {
       covers;

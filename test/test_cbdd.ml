@@ -5,10 +5,7 @@
    kernel computes the same boolean function, [sat_count] the same
    density, ISOP the same cover, and {!Bdd.Metric.plain_equivalent} the
    same representation-independent size — that metric is what every
-   minimization verdict is judged on.  Also covered here: the
-   event-driven {!Bdd.Reorder.Policy} (armed by table growth, run only
-   at the clean [check] boundary) and the {!Bdd.Reorder.remap_cube}
-   contract for interned quantification cubes carried across a sift. *)
+   minimization verdict is judged on. *)
 
 module Tt = Logic.Truth_table
 module I = Minimize.Ispec
@@ -187,110 +184,11 @@ let plain_metric_shortcut =
                = keyed_plain_equivalent man [ f ])
             fs)
 
-(* The On_growth policy: a doubling unique table arms the pending flag
-   (from inside interning — listeners must not sift there), and the
-   sift runs only when [check] is called at a clean boundary.  The
-   rebuilt manager inherits representation and policy, with one pass
-   spent. *)
-let on_growth_policy repr () =
-  let policy = Bdd.Reorder.Policy.On_growth { factor = 2; max_passes = 1 } in
-  let man = Bdd.create ~repr ~reorder_policy:policy () in
-  Util.checkb "installed" (Bdd.Reorder.Policy.installed man = policy);
-  Util.checkb "not pending on creation"
-    (not (Bdd.Reorder.Policy.pending man));
-  Util.checkb "check before any growth is a no-op"
-    (Bdd.Reorder.Policy.check man [] = None);
-  (* a dense random 16-var function interns enough nodes to double the
-     4096-entry initial table twice, crossing the 2x growth factor *)
-  let n = 16 in
-  let st = Random.State.make [| 0xcb; 0xdd; n |] in
-  let tt = random_tt st n 50 in
-  let f = Tt.to_bdd man tt in
-  Util.checkb "table growth armed the policy"
-    (Bdd.Reorder.Policy.pending man);
-  match Bdd.Reorder.Policy.check ~max_rounds:1 man [ f ] with
-  | None -> Alcotest.fail "armed policy did not sift"
-  | Some (placement, target, rebuilt) ->
-    let g = match rebuilt with [ g ] -> g | _ -> Alcotest.fail "arity" in
-    Util.checkb "representation inherited" (Bdd.repr target = repr);
-    Util.checkb "policy survives the rebuild"
-      (Bdd.Reorder.Policy.installed target = policy);
-    Util.checkb "pending consumed" (not (Bdd.Reorder.Policy.pending man));
-    Util.checkb "sift never worse" (Bdd.size target g <= Bdd.size man f);
-    (* the pass allowance is spent: a second growth cannot re-arm *)
-    Util.checkb "allowance spent"
-      (Bdd.Reorder.Policy.check target [ g ] = None);
-    (* semantics preserved modulo the placement, spot-checked; invert
-       the placement on the support only (non-support variables all
-       collapse onto level 0) *)
-    let inverse = Array.make (Array.length placement) (-1) in
-    List.iter (fun v -> inverse.(placement.(v)) <- v) (Bdd.support man f);
-    for _ = 1 to 200 do
-      let m = Random.State.int st (1 lsl n) in
-      let assign v = (m lsr v) land 1 = 1 in
-      Util.checkb "rebuilt function agrees"
-        (Bdd.eval g (fun level ->
-             inverse.(level) >= 0 && assign inverse.(level))
-         = Tt.get tt m)
-    done
-
-(* Regression for the sift/cube interaction: an interned quantification
-   cube is a variable-NAME set in the source manager; carrying it across
-   a sift without [remap_cube] quantifies the wrong variables.  The
-   remapped, re-interned cube must reproduce the pre-sift quantification
-   modulo the placement. *)
-let remap_cube_after_sift =
-  Util.qtest ~count:60 "cubes survive sift_apply via remap_cube"
-    QCheck2.Gen.(
-      let* n = int_range 2 6 in
-      let* seed = int_bound 0xFFFFF in
-      let* chain = bool in
-      return (n, seed, chain))
-    (fun (n, seed, chain) ->
-       let man = if chain then chained () else plain () in
-       let st = Random.State.make [| seed; n; 0x5f |] in
-       let f = Tt.to_bdd man (random_tt st n 50) in
-       (* quantify only over the support: sifting permutes support
-          levels, so remap_cube is only defined there *)
-       let support = Bdd.support man f in
-       let vars = List.filter (fun _ -> Random.State.bool st) support in
-       let before = Bdd.exists man vars f in
-       let placement, target, rebuilt = Bdd.Reorder.sift_apply man [ f ] in
-       let f' = List.hd rebuilt in
-       let vars' = Bdd.Reorder.remap_cube ~placement vars in
-       (* re-interning under the new names must be accepted *)
-       let _ = Bdd.cube_id target vars' in
-       let after = Bdd.exists target vars' f' in
-       (* the placement is only meaningful on the support (non-support
-          variables all collapse onto level 0), so invert it there *)
-       let inverse = Array.make (Array.length placement) (-1) in
-       List.iter (fun v -> inverse.(placement.(v)) <- v) support;
-       List.for_all
-         (fun m ->
-            let assign v = (m lsr v) land 1 = 1 in
-            Bdd.eval after (fun level ->
-                inverse.(level) >= 0 && assign inverse.(level))
-            = Bdd.eval before assign)
-         (List.init (1 lsl n) Fun.id))
-
-let remap_cube_rejects_out_of_range () =
-  Util.checkb "out-of-placement variable rejected"
-    (match Bdd.Reorder.remap_cube ~placement:[| 1; 0 |] [ 2 ] with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
-
 let suite =
   [
     ops_differential;
     isop_differential;
     lower_bound_differential;
     Alcotest.test_case "chains compress" `Quick chains_compress;
-    Alcotest.test_case "On_growth policy (plain)" `Quick
-      (on_growth_policy `Bdd);
-    Alcotest.test_case "On_growth policy (cbdd)" `Quick
-      (on_growth_policy `Cbdd);
-    remap_cube_after_sift;
-    Alcotest.test_case "remap_cube rejects out-of-range" `Quick
-      remap_cube_rejects_out_of_range;
     plain_metric_shortcut;
   ]

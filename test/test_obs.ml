@@ -439,44 +439,42 @@ let probe_counters_and_histograms () =
 
 (* ----- engine events ----- *)
 
+(* GC runs and computed-cache growth appear as instants on a trace
+   sink, amid the spans they interrupt. *)
 let engine_events () =
-  let man = Bdd.create ~cache_bits:4 () in
-  let gcs = ref 0 and grows = ref [] in
-  Bdd.on_event man (function
-      | Bdd.Gc_run { reclaimed; live_nodes } ->
-        incr gcs;
-        Util.checkb "gc counts sane" (reclaimed >= 0 && live_nodes > 0)
-      | Bdd.Cache_grown { old_capacity; new_capacity } ->
-        grows := (old_capacity, new_capacity) :: !grows
-      | Bdd.Table_grown _ -> ());
-  (* churn enough distinct operations to overflow a 16-entry cache into
-     growth, then collect the garbage *)
-  let vars = List.init 10 (Bdd.ithvar man) in
-  ignore
-    (List.fold_left
-       (fun acc v ->
-          let acc = Bdd.dor man (Bdd.dand man acc v) (Bdd.compl acc) in
-          ignore (Bdd.dxor man acc v);
-          acc)
-       (Bdd.one man) vars);
-  ignore (Bdd.gc man);
-  Util.checkb "gc listener fired" (!gcs >= 1);
-  Util.checkb "cache growth listener fired" (!grows <> []);
-  List.iter
-    (fun (o, n) -> Util.checkb "growth doubles" (n = 2 * o))
-    !grows;
-  (* the same events appear as instants on a trace sink *)
   let sink = T.memory () in
   T.with_sink sink (fun () ->
-      let man2 = Bdd.create ~cache_bits:4 () in
-      let vars = List.init 10 (Bdd.ithvar man2) in
+      let man = Bdd.create ~cache_bits:4 () in
+      (* churn enough distinct operations to overflow a 16-entry cache
+         into growth, then collect the garbage *)
+      let vars = List.init 10 (Bdd.ithvar man) in
       ignore
         (List.fold_left
-           (fun acc v -> Bdd.dor man2 (Bdd.dand man2 acc v) (Bdd.compl acc))
-           (Bdd.one man2) vars);
-      ignore (Bdd.gc man2));
-  let names = List.map (fun (e : T.event) -> e.T.name) (T.events sink) in
-  Util.checkb "bdd.gc instant traced" (List.mem "bdd.gc" names)
+           (fun acc v ->
+              let acc = Bdd.dor man (Bdd.dand man acc v) (Bdd.compl acc) in
+              ignore (Bdd.dxor man acc v);
+              acc)
+           (Bdd.one man) vars);
+      ignore (Bdd.gc man));
+  let instants name =
+    List.filter (fun (e : T.event) -> e.T.name = name) (T.events sink)
+  in
+  let int_attr (e : T.event) k =
+    match List.assoc_opt k e.T.attrs with Some (T.Int i) -> i | _ -> -1
+  in
+  let gcs = instants "bdd.gc" and grows = instants "bdd.cache_grow" in
+  Util.checkb "bdd.gc instant traced" (gcs <> []);
+  List.iter
+    (fun e ->
+       Util.checkb "gc counts sane"
+         (int_attr e "reclaimed" >= 0 && int_attr e "live_nodes" > 0))
+    gcs;
+  Util.checkb "bdd.cache_grow instant traced" (grows <> []);
+  List.iter
+    (fun e ->
+       Util.checkb "growth doubles"
+         (int_attr e "new_capacity" = 2 * int_attr e "old_capacity"))
+    grows
 
 (* ----- differential: tracing never changes results ----- *)
 

@@ -115,72 +115,38 @@ let reach_par_differential () =
        Util.checkb (name ^ ": views") (t.Bdd.Shared.views >= 1))
     [ "tlc"; "gray6"; "minmax4"; "rnd344" ]
 
-(* ----- parallel vector minimization and care-set restriction ----- *)
+(* ----- shared-store table growth is traced ----- *)
 
-let vector_par_differential () =
-  let store = Bdd.Shared.create () in
-  let man = Bdd.Shared.attach store in
-  Exec.Pool.with_pool ~jobs:3 @@ fun pool ->
-  let par = Minimize.Par.make ~pool ~store in
-  let n = 5 in
-  let instances =
-    List.init 6 (fun i ->
-        let f = random_fn man n (100 + i) in
-        let c = Bdd.dor man (random_fn man n (200 + i)) (random_fn man n i) in
-        let c = if Bdd.is_zero c then Bdd.one man else c in
-        Minimize.Ispec.make ~f ~c)
-  in
-  let minimizer m s = Bdd.restrict m s.Minimize.Ispec.f s.Minimize.Ispec.c in
-  let seq = Minimize.Vector.minimize_renamed man ~minimizer instances in
-  let parr =
-    Minimize.Vector.minimize_renamed ~par man ~minimizer instances
-  in
-  Util.checkb "vector covers are the same edges"
-    (List.for_all2 Bdd.equal seq.Minimize.Vector.covers
-       parr.Minimize.Vector.covers);
-  Util.checki "shared_after identical" seq.Minimize.Vector.shared_after
-    parr.Minimize.Vector.shared_after
-
-let restrict_to_care_par_differential () =
-  let b = Option.get (Circuits.Registry.find "tlc") in
-  let store = Bdd.Shared.create () in
+(* A stripe that doubles under [Reach.reachable ~par] publishes the
+   same [bdd.table_grow] instant a private table does; workers' events
+   reach the caller's sink through the pool's per-job buffers. *)
+let shared_table_grow_traced () =
+  let b = Option.get (Circuits.Registry.find "minmax4") in
+  let store = Bdd.Shared.create ~stripes:1 () in
   let man = Bdd.Shared.attach store in
   let sym = Fsm.Symbolic.of_netlist man (b.Circuits.Registry.build ()) in
-  let care, _ = Fsm.Reach.reachable sym in
-  let minimize m s = Bdd.constrain m s.Minimize.Ispec.f s.Minimize.Ispec.c in
-  let seq = Fsm.Symbolic.restrict_to_care_states sym ~care ~minimize in
-  Exec.Pool.with_pool ~jobs:3 @@ fun pool ->
-  let par = Minimize.Par.make ~pool ~store in
-  let parr = Fsm.Symbolic.restrict_to_care_states ~par sym ~care ~minimize in
-  Util.checkb "next-state functions are the same edges"
-    (Array.for_all2 Bdd.equal seq.Fsm.Symbolic.next_fns
-       parr.Fsm.Symbolic.next_fns);
-  Util.checkb "output functions are the same edges"
-    (List.for_all2
-       (fun (n1, f1) (n2, f2) -> n1 = n2 && Bdd.equal f1 f2)
-       seq.Fsm.Symbolic.output_fns parr.Fsm.Symbolic.output_fns)
-
-(* ----- level matching with a parallel adjacency matrix ----- *)
-
-let level_par_differential () =
-  let store = Bdd.Shared.create () in
-  let man = Bdd.Shared.attach store in
-  Exec.Pool.with_pool ~jobs:3 @@ fun pool ->
-  let par = Minimize.Par.make ~pool ~store in
+  let sink = Obs.Trace.memory () in
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      let par = Fsm.Image.par ~pool ~store in
+      Obs.Trace.with_sink sink (fun () ->
+          ignore
+            (Fsm.Reach.reachable ~strategy:Fsm.Image.Clustered ~par sym)));
+  let grows =
+    List.filter
+      (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "bdd.table_grow")
+      (Obs.Trace.events sink)
+  in
+  Util.checkb "bdd.table_grow traced" (grows <> []);
   List.iter
-    (fun crit ->
-       for seed = 0 to 7 do
-         let f = random_fn man 6 (300 + seed) in
-         let c = random_fn man 6 (400 + seed) in
-         let c = if Bdd.is_zero c then Bdd.one man else c in
-         let s = Minimize.Ispec.make ~f ~c in
-         let seq = Minimize.Level.minimize_all_levels man crit s in
-         let parr = Minimize.Level.minimize_all_levels ~par man crit s in
-         Util.checkb "level matching result is the same edges"
-           (Bdd.equal seq.Minimize.Ispec.f parr.Minimize.Ispec.f
-            && Bdd.equal seq.Minimize.Ispec.c parr.Minimize.Ispec.c)
-       done)
-    [ Minimize.Matching.Tsm; Minimize.Matching.Osm; Minimize.Matching.Osdm ]
+    (fun (e : Obs.Trace.event) ->
+       let cap k =
+         match List.assoc_opt k e.Obs.Trace.attrs with
+         | Some (Obs.Trace.Int i) -> i
+         | _ -> -1
+       in
+       Util.checkb "stripe doubles"
+         (cap "new_capacity" = 2 * cap "old_capacity"))
+    grows
 
 (* ----- suite CSV bytes at -j 1 / 2 / 4 ----- *)
 
@@ -300,12 +266,8 @@ let suite =
     par_map_differential;
     Alcotest.test_case "parallel reach is bit-identical (-j 2/4)" `Quick
       reach_par_differential;
-    Alcotest.test_case "parallel vector minimize is bit-identical" `Quick
-      vector_par_differential;
-    Alcotest.test_case "parallel care-set restriction is bit-identical"
-      `Quick restrict_to_care_par_differential;
-    Alcotest.test_case "parallel level matching is bit-identical" `Quick
-      level_par_differential;
+    Alcotest.test_case "shared table growth is traced" `Quick
+      shared_table_grow_traced;
     Alcotest.test_case "suite CSV identical at -j 1/2/4" `Quick
       suite_csv_jobs_differential;
     Alcotest.test_case "multi-domain intern stress + gc + audit" `Slow

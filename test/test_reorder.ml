@@ -85,8 +85,8 @@ let sift_never_worse =
        after <= before
        && after = Bdd.Reorder.shared_size_under man ~placement fs)
 
-let sift_apply_consistent =
-  Util.qtest ~count:40 "sift_apply returns functions of the promised size"
+let sift_rebuild_consistent =
+  Util.qtest ~count:40 "sift + rebuild yields the promised size"
     QCheck2.Gen.(
       let* n = int_range 1 5 in
       let* seed = int_bound 0xFFFFF in
@@ -95,9 +95,8 @@ let sift_apply_consistent =
        let man = fresh () in
        let st = Random.State.make [| seed; n; 7 |] in
        let f = Tt.to_bdd man (Tt.create n (fun _ -> Random.State.bool st)) in
-       let placement, target, rebuilt = Bdd.Reorder.sift_apply man [ f ] in
-       let _, expected = Bdd.Reorder.sift man [ f ] in
-       ignore placement;
+       let placement, expected = Bdd.Reorder.sift man [ f ] in
+       let target, rebuilt = Bdd.Reorder.rebuild man ~placement [ f ] in
        Bdd.shared_size target rebuilt = expected)
 
 let bad_placements_rejected () =
@@ -127,7 +126,7 @@ let suite =
     Alcotest.test_case "sifting fixes a separated order" `Quick
       separated_vs_interleaved;
     sift_never_worse;
-    sift_apply_consistent;
+    sift_rebuild_consistent;
     Alcotest.test_case "bad placements rejected" `Quick bad_placements_rejected;
     Alcotest.test_case "constants and singletons" `Quick
       constants_and_singletons;
