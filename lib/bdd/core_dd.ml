@@ -28,11 +28,16 @@
    with [chain = false] never create [var < bot] nodes and behave exactly
    as before.
 
-   Storage layer (CUDD-style):
-   - the unique table is a custom open-addressed (linear-probing) array of
-     nodes, grown at 75% load and garbage-collected by mark-and-sweep from
-     the external roots registered through [ref_]/[deref]/[with_root] (plus
-     the projection functions, which are permanent);
+   Storage layer (CUDD-style), one tier for every manager:
+   - every manager is a view of a node store; a private manager is the
+     only view of its own one-stripe store, a [Shared] store has many
+     stripes and many views (see [man] below).  Table code, interning,
+     collection and the audit are written once for both;
+   - each stripe of the unique table is a custom open-addressed
+     (linear-probing) array of nodes, grown at 75% load and
+     garbage-collected by mark-and-sweep from the external roots every
+     view registers through [ref_]/[deref]/[with_root] (plus the
+     projection functions, which are permanent);
    - the computed cache is a fixed-size, power-of-two, direct-mapped lossy
      cache keyed by packed integers: a probe allocates nothing, a store
      simply overwrites (evictions are counted), and the cache adaptively
@@ -43,7 +48,11 @@
    structurally valid after a collection — operations on them stay
    semantically correct — but they may lose canonicity (an equal function
    rebuilt later gets a fresh node), so code that keeps edges across
-   operations and wants physical equality must root them. *)
+   operations and wants physical equality must root them.  On a striped
+   store another domain's collection can also start between an operation
+   and the caller's [ref_] of its result, so every view keeps the result
+   of its latest operation marked until its next operation returns (see
+   [last] in [man]). *)
 
 type node = {
   id : int;
@@ -80,21 +89,17 @@ type budget = {
   mutable b_exhausted : budget_reason option;   (* sticky: first trip *)
 }
 
-(* A manager is either private (the historical domain-local design: its
-   own unique table in [uslots]) or a per-domain *view* of a shared node
-   store ([shared = Some _]): interning then goes to the store's striped
-   table and the view keeps only domain-local state — the computed
-   cache, the cube/signature interning tables, the external roots, the
-   budget and the statistics counters.  Dispatch is a single match on
-   the immutable [shared] field, so the private hot paths are
-   unchanged. *)
+(* Every manager is a {e view} of a node store.  The store owns the
+   unique table, the GC trigger and the stop-the-world barrier; the view
+   keeps the domain-local state: the computed cache, the cube/signature
+   interning tables, the external roots, the budget and the statistics
+   counters.  A private manager ([new_man]) is the only view of its own
+   one-stripe store, marked [sh_solo]: it interns without taking the
+   stripe lock and never enters the barrier.  [Shared.create] builds a
+   striped store that several domains attach views to. *)
 type man = {
   chain : bool;                 (* chain-reduced (CBDD) representation *)
   mutable vars : int;
-  (* unique table: open-addressed, [terminal] is the empty-slot sentinel *)
-  mutable uslots : node array;
-  mutable umask : int;                            (* capacity - 1 *)
-  mutable ucount : int;                           (* live nodes, terminal excluded *)
   (* computed cache: direct-mapped, parallel arrays, [min_int] = empty key *)
   mutable ck0 : int array;                        (* packed (op tag, uid a) *)
   mutable ck1 : int array;
@@ -107,10 +112,8 @@ type man = {
   mutable clog : int array;
   cache_max_entries : int;
   mutable evict_since_resize : int;
-  mutable next_id : int;
-  terminal : node;
+  terminal : node;                                (* the store's *)
   top : t;                                        (* the [one] edge *)
-  mutable made : int;                             (* nodes ever interned *)
   (* interned integer arrays: sorted variable sets ("cubes") and
      substitution signatures get a stable small id, so quantification and
      composition can use the packed computed cache across calls *)
@@ -121,7 +124,6 @@ type man = {
   mutable var_edges : t option array;             (* projection functions *)
   refs : (int, node * int ref) Hashtbl.t;         (* node id -> refcount *)
   mutable auto_gc : bool;
-  mutable gc_wanted : bool;
   mutable budget : budget option;
   (* statistics *)
   mutable n_ite : int;
@@ -137,27 +139,30 @@ type man = {
   mutable c_evicts : int;
   mutable gc_runs : int;
   mutable gc_nodes : int;
-  mutable peak_live : int;
-  (* concurrent tier: Some store makes this manager a per-domain view *)
-  shared : shared option;
+  store : shared;
   mutable op_depth : int;       (* nesting of barrier-bracketed operations *)
+  (* Result of the view's latest bracketed operation, marked by the
+     collector: on a striped store a collection another domain starts
+     between an operation and the caller's [ref_] of its result must
+     not sweep it.  A solo store collects only at its own view's
+     operation boundaries, so its view never sets it. *)
+  mutable last : t;
 }
 
-(* Shared node store: a striped open-addressed unique table plus the
+(* A node store: a striped open-addressed unique table plus the
    stop-the-world GC barrier.  The stripe index comes from hash bits
    well above the in-stripe probe bits, so two concurrent interns of
    different nodes rarely meet on a lock; within a stripe the probe
-   sequence is the classical linear one.  All global quantities (node
-   ids, live count, telemetry) are atomics. *)
+   sequence is the classical linear one.  Stripe [k] of [S] numbers its
+   nodes [k+1, k+1+S, ...], so ids are unique store-wide without a
+   shared counter, and a one-stripe store numbers them 1, 2, 3, ... *)
 and shared = {
+  sh_solo : bool;                                 (* one view: no locks, no barrier *)
   sh_chain : bool;                                (* representation of every view *)
-  sh_stripes : stripe array;                      (* length is a power of two *)
+  sh_stripes : table array;                       (* length is a power of two *)
+  sh_min_capacity : int;                          (* a stripe never shrinks below *)
   sh_terminal : node;
   sh_top : t;
-  sh_next_id : int Atomic.t;
-  sh_made : int Atomic.t;                         (* nodes ever interned *)
-  sh_live : int Atomic.t;                         (* live across all stripes *)
-  sh_peak : int Atomic.t;
   sh_vars : int Atomic.t;                         (* max over views *)
   sh_ext_refs : int Atomic.t;                     (* distinct rooted nodes, all views *)
   sh_gc_wanted : bool Atomic.t;
@@ -180,16 +185,22 @@ and shared = {
   sh_gc_reclaimed : int Atomic.t;
 }
 
-and stripe = {
-  st_lock : Mutex.t;
-  mutable st_slots : node array;
-  mutable st_mask : int;
-  mutable st_count : int;
+(* One stripe of the unique table, guarded by [lock] on a striped store;
+   the store's terminal marks an empty slot. *)
+and table = {
+  lock : Mutex.t;
+  mutable slots : node array;
+  mutable mask : int;                             (* capacity - 1 *)
+  mutable count : int;                            (* live nodes, terminal excluded *)
+  mutable next_id : int;
+  mutable made : int;                             (* nodes ever interned *)
+  mutable peak : int;                             (* most live nodes at once *)
 }
 
 let const_var = max_int
 
 let min_unique_capacity = 4096
+let min_stripe_capacity = 1024
 let default_cache_bits = 15
 let default_cache_budget = 32 * 1024 * 1024
 let bytes_per_cache_entry = 32                    (* 3 boxed-free ints + 1 pointer *)
@@ -203,13 +214,51 @@ let cache_log ccap = Array.make (min 1024 (ccap / 2)) 0
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
-let new_man ?(nvars = 0) ?(cache_bits = default_cache_bits)
-    ?(cache_budget = default_cache_budget) ?(auto_gc = true)
-    ?(chain = false) () =
+let make_store ~solo ~chain ~nvars ~stripes ~min_capacity =
   let rec terminal =
     { id = 0; var = const_var; bot = const_var; n_hi = self; n_lo = self;
       mark = false }
   and self = { neg = false; node = terminal } in
+  {
+    sh_solo = solo;
+    sh_chain = chain;
+    sh_stripes =
+      Array.init stripes (fun k ->
+          {
+            lock = Mutex.create ();
+            slots = Array.make min_capacity terminal;
+            mask = min_capacity - 1;
+            count = 0;
+            next_id = k + 1;
+            made = 0;
+            peak = 0;
+          });
+    sh_min_capacity = min_capacity;
+    sh_terminal = terminal;
+    sh_top = self;
+    sh_vars = Atomic.make nvars;
+    sh_ext_refs = Atomic.make 0;
+    sh_gc_wanted = Atomic.make false;
+    sh_no_auto = Atomic.make 0;
+    sh_active = Atomic.make 0;
+    sh_gc_pending = Atomic.make false;
+    sh_lock = Mutex.create ();
+    sh_cv = Condition.create ();
+    sh_gc_lock = Mutex.create ();
+    sh_views = [];
+    sh_free = [];
+    sh_intern_retries = Atomic.make 0;
+    sh_barrier_waits = Atomic.make 0;
+    sh_barrier_wait_ns = Atomic.make 0;
+    sh_gc_runs = Atomic.make 0;
+    sh_gc_reclaimed = Atomic.make 0;
+  }
+
+(* The one view constructor.  Registration makes the view a GC root
+   source of its store, so a view is attached before anything is rooted
+   through it. *)
+let make_view ?(cache_bits = default_cache_bits)
+    ?(cache_budget = default_cache_budget) ?(auto_gc = true) sh =
   let cache_bits = max 1 (min 24 cache_bits) in
   let ccap = 1 lsl cache_bits in
   (* byte budget, rounded down to a power of two of entries, but never
@@ -219,53 +268,61 @@ let new_man ?(nvars = 0) ?(cache_bits = default_cache_bits)
     let rec down k = if k * 2 <= budget_entries then down (k * 2) else k in
     max ccap (down 1)
   in
-  {
-    chain;
-    vars = nvars;
-    uslots = Array.make min_unique_capacity terminal;
-    umask = min_unique_capacity - 1;
-    ucount = 0;
-    ck0 = Array.make ccap min_int;
-    ck1 = Array.make ccap 0;
-    ck2 = Array.make ccap 0;
-    cres = Array.make ccap self;
-    cmask = ccap - 1;
-    centries = 0;
-    clog = cache_log ccap;
-    cache_max_entries;
-    evict_since_resize = 0;
-    next_id = 1;
-    terminal;
-    top = self;
-    made = 0;
-    iarr_ids =
-      (let t = Hashtbl.create 64 in
-       Hashtbl.add t [||] 0;
-       t);
-    next_iarr = 1;
-    cube_suffixes = Hashtbl.create 64;
-    var_edges = Array.make (max 16 nvars) None;
-    refs = Hashtbl.create 64;
-    auto_gc;
-    gc_wanted = false;
-    budget = None;
-    n_ite = 0;
-    n_and = 0;
-    n_xor = 0;
-    n_constrain = 0;
-    n_restrict = 0;
-    n_quantify = 0;
-    n_and_exists = 0;
-    c_lookups = 0;
-    c_hits = 0;
-    c_stores = 0;
-    c_evicts = 0;
-    gc_runs = 0;
-    gc_nodes = 0;
-    peak_live = 0;
-    shared = None;
-    op_depth = 0;
-  }
+  let nvars = Atomic.get sh.sh_vars in
+  let view =
+    {
+      chain = sh.sh_chain;
+      vars = nvars;
+      ck0 = Array.make ccap min_int;
+      ck1 = Array.make ccap 0;
+      ck2 = Array.make ccap 0;
+      cres = Array.make ccap sh.sh_top;
+      cmask = ccap - 1;
+      centries = 0;
+      clog = cache_log ccap;
+      cache_max_entries;
+      evict_since_resize = 0;
+      terminal = sh.sh_terminal;
+      top = sh.sh_top;
+      iarr_ids =
+        (let t = Hashtbl.create 64 in
+         Hashtbl.add t [||] 0;
+         t);
+      next_iarr = 1;
+      cube_suffixes = Hashtbl.create 64;
+      var_edges = Array.make (max 16 nvars) None;
+      refs = Hashtbl.create 64;
+      auto_gc;
+      budget = None;
+      n_ite = 0;
+      n_and = 0;
+      n_xor = 0;
+      n_constrain = 0;
+      n_restrict = 0;
+      n_quantify = 0;
+      n_and_exists = 0;
+      c_lookups = 0;
+      c_hits = 0;
+      c_stores = 0;
+      c_evicts = 0;
+      gc_runs = 0;
+      gc_nodes = 0;
+      store = sh;
+      op_depth = 0;
+      last = sh.sh_top;
+    }
+  in
+  if not auto_gc then Atomic.incr sh.sh_no_auto;
+  Mutex.lock sh.sh_lock;
+  sh.sh_views <- view :: sh.sh_views;
+  Mutex.unlock sh.sh_lock;
+  view
+
+let new_man ?(nvars = 0) ?cache_bits ?cache_budget ?auto_gc ?(chain = false)
+    () =
+  make_view ?cache_bits ?cache_budget ?auto_gc
+    (make_store ~solo:true ~chain ~nvars ~stripes:1
+       ~min_capacity:min_unique_capacity)
 
 let repr man : repr = if man.chain then `Cbdd else `Bdd
 
@@ -408,7 +465,7 @@ let cache_reset man =
 
 let clear_caches man = cache_reset man
 
-(* ----- unique table ----- *)
+(* ----- unique table: stripes and the stop-the-world barrier ----- *)
 
 let u_hash var bt hid luid =
   let h =
@@ -416,27 +473,6 @@ let u_hash var bt hid luid =
     lxor (luid * 0xc2b2ae35)
   in
   (h lxor (h lsr 15)) land max_int
-
-(* Insert a node known to be absent (used on growth and GC rebuild). *)
-let u_insert_fresh man n =
-  let mask = man.umask in
-  let i = ref (u_hash n.var n.bot n.n_hi.node.id (uid n.n_lo) land mask) in
-  while man.uslots.(!i) != man.terminal do
-    i := (!i + 1) land mask
-  done;
-  man.uslots.(!i) <- n
-
-let u_rebuild man newcap keep =
-  let old = man.uslots in
-  man.uslots <- Array.make newcap man.terminal;
-  man.umask <- newcap - 1;
-  Array.iter
-    (fun n -> if n != man.terminal && keep n then u_insert_fresh man n)
-    old
-
-(* ----- shared store: stripes and the stop-the-world barrier ----- *)
-
-let min_stripe_capacity = 1024
 
 (* Stripe selection uses bits 30.. of the node hash; in-stripe probing
    uses the low bits.  Stripes would need to exceed 2^30 slots before
@@ -446,32 +482,39 @@ let stripe_shift = 30
 let[@inline] stripe_of sh h =
   sh.sh_stripes.((h lsr stripe_shift) land (Array.length sh.sh_stripes - 1))
 
-let stripe_insert_fresh terminal st n =
-  let mask = st.st_mask in
+let store_sum sh f = Array.fold_left (fun acc t -> acc + f t) 0 sh.sh_stripes
+
+(* Read at every budgeted recursion step, so a plain loop, not a fold. *)
+let live_count man =
+  let stripes = man.store.sh_stripes in
+  let live = ref 0 in
+  for k = 0 to Array.length stripes - 1 do
+    live := !live + stripes.(k).count
+  done;
+  !live
+
+(* Insert a node known to be absent (growth and collection rebuilds). *)
+let table_insert_fresh terminal t n =
+  let mask = t.mask in
   let i = ref (u_hash n.var n.bot n.n_hi.node.id (uid n.n_lo) land mask) in
-  while st.st_slots.(!i) != terminal do
+  while t.slots.(!i) != terminal do
     i := (!i + 1) land mask
   done;
-  st.st_slots.(!i) <- n
+  t.slots.(!i) <- n
 
-let stripe_rebuild terminal st newcap keep =
-  let old = st.st_slots in
-  st.st_slots <- Array.make newcap terminal;
-  st.st_mask <- newcap - 1;
+let table_rebuild terminal t newcap keep =
+  let old = t.slots in
+  t.slots <- Array.make newcap terminal;
+  t.mask <- newcap - 1;
   let count = ref 0 in
   Array.iter
     (fun n ->
        if n != terminal && keep n then begin
          incr count;
-         stripe_insert_fresh terminal st n
+         table_insert_fresh terminal t n
        end)
     old;
-  st.st_count <- !count
-
-let rec bump_shared_peak sh live =
-  let p = Atomic.get sh.sh_peak in
-  if live > p && not (Atomic.compare_and_set sh.sh_peak p live) then
-    bump_shared_peak sh live
+  t.count <- !count
 
 (* Barrier entry: the fast path is one atomic increment and one atomic
    load.  When a collection is pending the entrant backs out (waking the
@@ -510,103 +553,65 @@ let barrier_exit sh =
     Mutex.unlock sh.sh_lock
   end
 
+(* The op bracket.  A solo store has no other mutator to stop, so its
+   view never enters the barrier. *)
 let[@inline] op_enter man =
-  match man.shared with
-  | None -> ()
-  | Some sh ->
+  let sh = man.store in
+  if not sh.sh_solo then begin
     man.op_depth <- man.op_depth + 1;
     if man.op_depth = 1 then barrier_enter sh
+  end
 
 let[@inline] op_exit man =
-  match man.shared with
-  | None -> ()
-  | Some sh ->
+  let sh = man.store in
+  if not sh.sh_solo then begin
     man.op_depth <- man.op_depth - 1;
     if man.op_depth = 0 then barrier_exit sh
+  end
 
 (* Bracket a whole public operation.  The closure allocation is per
-   operation entry, not per recursion step, and only matters at all on
-   shared views ([Fun.protect] must release the barrier when a budget
-   trips mid-kernel). *)
+   operation entry, not per recursion step, and only happens on views of
+   a striped store ([Fun.protect] must release the barrier when a budget
+   trips mid-kernel).  The result becomes the view's [last] inside the
+   bracket, so no collection can fall between the two. *)
 let[@inline] shared_op man k =
-  match man.shared with
-  | None -> k ()
-  | Some _ ->
+  if man.store.sh_solo then k ()
+  else begin
     op_enter man;
-    Fun.protect ~finally:(fun () -> op_exit man) k
+    Fun.protect
+      ~finally:(fun () -> op_exit man)
+      (fun () ->
+         let r = k () in
+         man.last <- r;
+         r)
+  end
 
-let intern_shared sh var ~bot:bt ~hi:h ~lo:l =
-  assert (not h.neg);
+(* Find or insert [(var, bt, h, l)] in stripe [t] ([h0] is its hash); on
+   a striped store the caller holds [t.lock].  A stripe about to pass 75%
+   load doubles first, and a growing stripe is the GC trigger: it arms a
+   collection for the next operation boundary when something is rooted
+   and no view has auto-GC suspended. *)
+let table_intern sh t var bt h l h0 =
+  if (t.count + 1) * 4 > (t.mask + 1) * 3 then begin
+    let old_capacity = t.mask + 1 in
+    table_rebuild sh.sh_terminal t (old_capacity * 2) (fun _ -> true);
+    if Atomic.get sh.sh_ext_refs > 0 && Atomic.get sh.sh_no_auto = 0 then
+      Atomic.set sh.sh_gc_wanted true;
+    trace_resize "bdd.table_grow" ~old_capacity ~new_capacity:(t.mask + 1)
+  end;
   let hid = h.node.id and luid = uid l in
-  let h0 = u_hash var bt hid luid in
-  let st = stripe_of sh h0 in
-  if not (Mutex.try_lock st.st_lock) then begin
-    Atomic.incr sh.sh_intern_retries;
-    Mutex.lock st.st_lock
-  end;
-  if (st.st_count + 1) * 4 > (st.st_mask + 1) * 3 then begin
-    let old_capacity = st.st_mask + 1 in
-    stripe_rebuild sh.sh_terminal st (old_capacity * 2) (fun _ -> true);
-    trace_resize "bdd.table_grow" ~old_capacity ~new_capacity:(st.st_mask + 1);
-    (* as in the private engine, a growing table arms a collection at
-       the next operation boundary — but only if something is rooted *)
-    if Atomic.get sh.sh_ext_refs > 0 then Atomic.set sh.sh_gc_wanted true
-  end;
-  let mask = st.st_mask in
+  let mask = t.mask in
   let rec probe i =
-    let n = st.st_slots.(i) in
+    let n = t.slots.(i) in
     if n == sh.sh_terminal then begin
-      let id = Atomic.fetch_and_add sh.sh_next_id 1 in
-      let n = { id; var; bot = bt; n_hi = h; n_lo = l; mark = false } in
-      Atomic.incr sh.sh_made;
-      let live = 1 + Atomic.fetch_and_add sh.sh_live 1 in
-      bump_shared_peak sh live;
-      st.st_count <- st.st_count + 1;
-      st.st_slots.(i) <- n;
-      Mutex.unlock st.st_lock;
-      { neg = false; node = n }
-    end
-    else if
-      n.var = var && n.bot = bt && n.n_hi.node.id = hid && uid n.n_lo = luid
-    then begin
-      Mutex.unlock st.st_lock;
-      { neg = false; node = n }
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (h0 land mask)
-
-let[@inline] live_count man =
-  match man.shared with
-  | None -> man.ucount
-  | Some sh -> Atomic.get sh.sh_live
-
-(* Intern a node whose then-edge is already regular; a growing table
-   is traced. *)
-let intern_private man var ~bot:bt ~hi:h ~lo:l =
-  assert (not h.neg);
-  if (man.ucount + 1) * 4 > (man.umask + 1) * 3 then begin
-    let old_capacity = man.umask + 1 in
-    u_rebuild man (old_capacity * 2) (fun _ -> true);
-    (* A growing table is the GC trigger: if external roots are in use,
-       request a collection at the next operation boundary. *)
-    if man.auto_gc && Hashtbl.length man.refs > 0 then man.gc_wanted <- true;
-    trace_resize "bdd.table_grow" ~old_capacity
-      ~new_capacity:(man.umask + 1)
-  end;
-  let hid = h.node.id and luid = uid l in
-  let mask = man.umask in
-  let rec probe i =
-    let n = man.uslots.(i) in
-    if n == man.terminal then begin
       let n =
-        { id = man.next_id; var; bot = bt; n_hi = h; n_lo = l; mark = false }
+        { id = t.next_id; var; bot = bt; n_hi = h; n_lo = l; mark = false }
       in
-      man.next_id <- man.next_id + 1;
-      man.made <- man.made + 1;
-      man.ucount <- man.ucount + 1;
-      if man.ucount > man.peak_live then man.peak_live <- man.ucount;
-      man.uslots.(i) <- n;
+      t.next_id <- t.next_id + Array.length sh.sh_stripes;
+      t.made <- t.made + 1;
+      t.count <- t.count + 1;
+      if t.count > t.peak then t.peak <- t.count;
+      t.slots.(i) <- n;
       { neg = false; node = n }
     end
     else if
@@ -614,12 +619,32 @@ let intern_private man var ~bot:bt ~hi:h ~lo:l =
     then { neg = false; node = n }
     else probe ((i + 1) land mask)
   in
-  probe (u_hash var bt hid luid land mask)
+  probe (h0 land mask)
 
-let[@inline] intern man var ~bot ~hi ~lo =
-  match man.shared with
-  | None -> intern_private man var ~bot ~hi ~lo
-  | Some sh -> intern_shared sh var ~bot ~hi ~lo
+(* Intern a node whose then-edge is already regular.  Only a striped
+   store locks the stripe, and there the intern is barrier-bracketed
+   (before the lock: the barrier may park): external callers (Store
+   loading, netlist synthesis, [lo] of a chain node) construct nodes
+   outside any public operation, and such a bare intern must not race a
+   collection.  Inside kernels the bracket is already held and the
+   re-entrant [op_depth] makes it two plain integer writes. *)
+let intern man var ~bot:bt ~hi:h ~lo:l =
+  assert (not h.neg);
+  let sh = man.store in
+  let h0 = u_hash var bt h.node.id (uid l) in
+  let t = stripe_of sh h0 in
+  if sh.sh_solo then table_intern sh t var bt h l h0
+  else begin
+    op_enter man;
+    if not (Mutex.try_lock t.lock) then begin
+      Atomic.incr sh.sh_intern_retries;
+      Mutex.lock t.lock
+    end;
+    let e = table_intern sh t var bt h l h0 in
+    Mutex.unlock t.lock;
+    op_exit man;
+    e
+  end
 
 (* Intern [(var, bot, h, l)] with [h] already regular, applying the
    chain absorption rule on chain managers: a one-armed node whose
@@ -637,24 +662,12 @@ let intern_canon man var ~bot:bt ~hi:h ~lo:l =
     intern man var ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
   else intern man var ~bot:bt ~hi:h ~lo:l
 
-(* [mk] is itself barrier-bracketed: external callers (Store loading,
-   netlist synthesis) construct nodes with it outside any public
-   operation, and on a shared view such a bare intern must not race a
-   collection.  Inside kernels the bracket is already held and the
-   re-entrant [op_depth] makes this two plain integer writes. *)
 let mk man var ~hi:h ~lo:l =
   assert (var < topvar h && var < topvar l);
   if equal h l then h
-  else begin
-    op_enter man;
-    let r =
-      if h.neg then
-        compl (intern_canon man var ~bot:var ~hi:(compl h) ~lo:(compl l))
-      else intern_canon man var ~bot:var ~hi:h ~lo:l
-    in
-    op_exit man;
-    r
-  end
+  else if h.neg then
+    compl (intern_canon man var ~bot:var ~hi:(compl h) ~lo:(compl l))
+  else intern_canon man var ~bot:var ~hi:h ~lo:l
 
 (* The chain [x_t \/ ... \/ x_m \/ r] as an edge ([t <= m < topvar r]).
    On a chain manager this is one node (or an absorption into [r]'s own
@@ -662,25 +675,17 @@ let mk man var ~hi:h ~lo:l =
 let mk_or_chain man t m r =
   assert (t <= m && m < topvar r);
   if is_one r then r
-  else if man.chain then begin
-    op_enter man;
-    let e =
-      if (not r.neg) && r.node.var = m + 1 then
-        let n = r.node in
-        intern man t ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
-      else intern man t ~bot:m ~hi:(one man) ~lo:r
-    in
-    op_exit man;
-    e
-  end
+  else if man.chain then
+    if (not r.neg) && r.node.var = m + 1 then
+      let n = r.node in
+      intern man t ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
+    else intern man t ~bot:m ~hi:(one man) ~lo:r
   else begin
-    op_enter man;
     let e = ref r in
     for i = m downto t do
       if not (equal !e (one man)) then
         e := intern_canon man i ~bot:i ~hi:(one man) ~lo:!e
     done;
-    op_exit man;
     !e
   end
 
@@ -690,9 +695,7 @@ let mk_or_chain man t m r =
 let chain_suffix man e v =
   let n = e.node in
   assert (n.var < v && v <= n.bot);
-  op_enter man;
   let s = intern man v ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo in
-  op_exit man;
   { neg = e.neg; node = s.node }
 
 (* Cofactors push the edge's complement bit through the node.  At the
@@ -716,16 +719,16 @@ let branches man e v =
 
 let ithvar man i =
   if i < 0 then invalid_arg "Core_dd.ithvar: negative variable";
-  if i >= man.vars then man.vars <- i + 1;
-  (match man.shared with
-   | None -> ()
-   | Some sh ->
-     let rec bump () =
-       let v = Atomic.get sh.sh_vars in
-       if man.vars > v && not (Atomic.compare_and_set sh.sh_vars v man.vars)
-       then bump ()
-     in
-     bump ());
+  if i >= man.vars then begin
+    man.vars <- i + 1;
+    let sh = man.store in
+    let rec bump () =
+      let v = Atomic.get sh.sh_vars in
+      if man.vars > v && not (Atomic.compare_and_set sh.sh_vars v man.vars)
+      then bump ()
+    in
+    bump ()
+  end;
   if i >= Array.length man.var_edges then begin
     let bigger = Array.make (next_pow2 (i + 1) 16) None in
     Array.blit man.var_edges 0 bigger 0 (Array.length man.var_edges);
@@ -740,9 +743,9 @@ let ithvar man i =
 
 (* ----- external references and garbage collection ----- *)
 
-(* Roots are registered per view.  On a shared view the mutation is
-   barrier-bracketed: the collector reads every view's root table while
-   the world is stopped, so no root update may be in flight. *)
+(* Roots are registered per view.  The mutation is barrier-bracketed:
+   the collector reads every view's root table while the world is
+   stopped, so no root update may be in flight. *)
 let ref_ man e =
   let n = e.node in
   if n.var <> const_var then begin
@@ -751,9 +754,7 @@ let ref_ man e =
      | Some (_, c) -> incr c
      | None ->
        Hashtbl.add man.refs n.id (n, ref 1);
-       (match man.shared with
-        | None -> ()
-        | Some sh -> Atomic.incr sh.sh_ext_refs));
+       Atomic.incr man.store.sh_ext_refs);
     op_exit man
   end
 
@@ -766,9 +767,7 @@ let deref man e =
        decr c;
        if !c <= 0 then begin
          Hashtbl.remove man.refs n.id;
-         match man.shared with
-         | None -> ()
-         | Some sh -> Atomic.decr sh.sh_ext_refs
+         Atomic.decr man.store.sh_ext_refs
        end
      | None -> ());
     op_exit man
@@ -785,49 +784,20 @@ let rec gc_mark n =
     gc_mark n.n_lo.node
   end
 
-let gc_internal man roots =
-  Hashtbl.iter (fun _ (n, _) -> gc_mark n) man.refs;
-  Array.iter
-    (function Some e -> gc_mark e.node | None -> ())
-    man.var_edges;
-  List.iter (fun e -> gc_mark e.node) roots;
-  let before = man.ucount in
-  let live =
-    Array.fold_left
-      (fun acc n -> if n != man.terminal && n.mark then acc + 1 else acc)
-      0 man.uslots
-  in
-  (* Rebuild at most the old capacity (growth is [intern]'s business);
-     shrink when the survivors rattle around in it. *)
-  let wanted = next_pow2 (max min_unique_capacity (live * 2)) min_unique_capacity in
-  let newcap = min (man.umask + 1) wanted in
-  u_rebuild man newcap
-    (fun n ->
-       if n.mark then begin
-         n.mark <- false;
-         true
-       end
-       else false);
-  man.ucount <- live;
-  (* cached results may point at swept nodes; drop them all *)
-  cache_reset man;
-  let reclaimed = before - live in
-  man.gc_runs <- man.gc_runs + 1;
-  man.gc_nodes <- man.gc_nodes + reclaimed;
-  trace_gc ~reclaimed ~live_nodes:(live + 1);
-  reclaimed
-
-(* Stop-the-world collection over a shared store.  The requesting
-   domain must be *outside* any bracketed operation (collections only
-   start at operation boundaries, exactly as in the private engine).
-   Protocol: serialize collectors on [sh_gc_lock], raise
-   [sh_gc_pending], wait until every active mutator drains, then — with
-   every domain parked — mark from all views' roots and projection
-   edges, rebuild each stripe keeping marked nodes, and reset every
-   view's computed cache (cached results may reference swept nodes).
+(* Stop-the-world collection.  The requesting domain must be {e outside}
+   any bracketed operation: collections only start at operation
+   boundaries.  Protocol: serialize collectors on [sh_gc_lock], raise
+   [sh_gc_pending], wait until every active mutator drains (a solo store
+   has none, so this passes straight through), then — with every domain
+   parked — mark from all views' roots, projection edges and latest
+   results, rebuild each stripe keeping marked nodes (shrinking it when
+   the survivors rattle around in it; growth is [intern]'s business),
+   and reset every view's computed cache (cached results may reference
+   swept nodes).
    Stripe locks are taken during the rebuild purely as belt and braces;
    no mutator can hold one while the world is stopped. *)
-let shared_gc man sh roots =
+let gc ?(roots = []) man =
+  let sh = man.store in
   Mutex.lock sh.sh_gc_lock;
   Atomic.set sh.sh_gc_wanted false;
   Atomic.set sh.sh_gc_pending true;
@@ -847,37 +817,34 @@ let shared_gc man sh roots =
        Hashtbl.iter (fun _ (n, _) -> gc_mark n) v.refs;
        Array.iter
          (function Some e -> gc_mark e.node | None -> ())
-         v.var_edges)
+         v.var_edges;
+       gc_mark v.last.node)
     views;
   List.iter (fun e -> gc_mark e.node) roots;
-  let before = Atomic.get sh.sh_live in
-  let live = ref 0 in
+  let before = live_count man in
+  let min_cap = sh.sh_min_capacity in
   Array.iter
-    (fun st ->
-       Mutex.lock st.st_lock;
+    (fun t ->
+       Mutex.lock t.lock;
        let marked =
          Array.fold_left
            (fun acc n ->
               if n != sh.sh_terminal && n.mark then acc + 1 else acc)
-           0 st.st_slots
+           0 t.slots
        in
-       let wanted =
-         next_pow2 (max min_stripe_capacity (marked * 2)) min_stripe_capacity
-       in
-       let newcap = min (st.st_mask + 1) wanted in
-       stripe_rebuild sh.sh_terminal st newcap
+       let wanted = next_pow2 (max min_cap (marked * 2)) min_cap in
+       table_rebuild sh.sh_terminal t (min (t.mask + 1) wanted)
          (fun n ->
             if n.mark then begin
               n.mark <- false;
               true
             end
             else false);
-       live := !live + st.st_count;
-       Mutex.unlock st.st_lock)
+       Mutex.unlock t.lock)
     sh.sh_stripes;
-  Atomic.set sh.sh_live !live;
+  let live = live_count man in
   List.iter cache_reset views;
-  let reclaimed = before - !live in
+  let reclaimed = before - live in
   man.gc_runs <- man.gc_runs + 1;
   man.gc_nodes <- man.gc_nodes + reclaimed;
   Atomic.incr sh.sh_gc_runs;
@@ -887,56 +854,46 @@ let shared_gc man sh roots =
   Condition.broadcast sh.sh_cv;
   Mutex.unlock sh.sh_lock;
   Mutex.unlock sh.sh_gc_lock;
-  trace_gc ~reclaimed ~live_nodes:(!live + 1);
+  trace_gc ~reclaimed ~live_nodes:(live + 1);
   reclaimed
 
-let gc ?(roots = []) man =
-  match man.shared with
-  | None ->
-    man.gc_wanted <- false;
-    gc_internal man roots
-  | Some sh -> shared_gc man sh roots
-
-(* Auto-GC on a shared store requires unanimous consent: any view that
-   suspended it (a fixpoint loop holding un-rooted working sets) vetoes
-   collection store-wide via the [sh_no_auto] count. *)
+(* [sh_no_auto] counts the views with auto-GC suspended: a suspension
+   stops growth from arming a collection (see [table_intern]) and vetoes
+   armed collections on every view of the store. *)
 let set_auto_gc man b =
-  (match man.shared with
-   | Some sh when man.auto_gc <> b ->
-     if b then Atomic.decr sh.sh_no_auto else Atomic.incr sh.sh_no_auto
-   | _ -> ());
-  man.auto_gc <- b
+  if man.auto_gc <> b then begin
+    if b then Atomic.decr man.store.sh_no_auto
+    else Atomic.incr man.store.sh_no_auto;
+    man.auto_gc <- b
+  end
+
+(* Collection only ever runs at operation boundaries: recursions in flight
+   hold un-rooted intermediate edges on the OCaml stack, and sweeping them
+   would cost canonicity (never correctness, but still).  An armed
+   collection fires only while no view of the store has auto-GC
+   suspended, and a compare-and-set elects a single collecting
+   domain. *)
+let maybe_gc man =
+  let sh = man.store in
+  if
+    Atomic.get sh.sh_gc_wanted
+    && Atomic.get sh.sh_no_auto = 0
+    && Atomic.compare_and_set sh.sh_gc_wanted true false
+  then ignore (gc man)
 
 (* Long fixpoint computations (symbolic traversal) hold their evolving
    working set only on un-rooted OCaml edges; an automatic collection
    armed by some long-lived root would sweep it every time the table
    grows — costing canonicity of every in-flight set and flushing the
    computed cache over and over.  Such loops suspend the trigger and
-   collect (or let the pending trigger fire) when they are done. *)
+   collect (or let the pending trigger fire) when they are done.  A
+   collection armed before the suspension runs first, so nothing the
+   loop builds is swept. *)
 let without_auto_gc man k =
+  maybe_gc man;
   let prev = man.auto_gc in
   set_auto_gc man false;
   Fun.protect ~finally:(fun () -> set_auto_gc man prev) k
-
-(* Collection only ever runs at operation boundaries: recursions in flight
-   hold un-rooted intermediate edges on the OCaml stack, and sweeping them
-   would cost canonicity (never correctness, but still).  On a shared
-   view the trigger additionally requires unanimous auto-GC consent, and
-   a compare-and-set elects a single collecting domain. *)
-let maybe_gc man =
-  match man.shared with
-  | None ->
-    if man.gc_wanted then begin
-      man.gc_wanted <- false;
-      ignore (gc_internal man [])
-    end
-  | Some sh ->
-    if
-      man.auto_gc
-      && Atomic.get sh.sh_gc_wanted
-      && Atomic.get sh.sh_no_auto = 0
-      && Atomic.compare_and_set sh.sh_gc_wanted true false
-    then ignore (shared_gc man sh [])
 
 (* ----- Resource budgets ----- *)
 
@@ -1775,25 +1732,19 @@ module Stats = struct
     }
 end
 
-(* On a shared view the store-wide quantities (live nodes, peak,
-   interned total, table capacity) come from the store's atomics; the
-   cache and recursion counters stay the view's own. *)
+(* The table quantities (live nodes, peak, interned total, capacity) are
+   the store's, summed over its stripes; the cache and recursion counters
+   stay the view's own.  The stripes peak at different moments, so on a
+   striped store the summed peak is an upper bound on the store's peak
+   (exact on a one-stripe store). *)
 let snapshot man : Stats.t =
-  let live_nodes, peak_live_nodes, interned_total, unique_capacity =
-    match man.shared with
-    | None -> (man.ucount + 1, man.peak_live + 1, man.made, man.umask + 1)
-    | Some sh ->
-      ( Atomic.get sh.sh_live + 1,
-        Atomic.get sh.sh_peak + 1,
-        Atomic.get sh.sh_made,
-        Array.fold_left (fun acc st -> acc + st.st_mask + 1) 0 sh.sh_stripes )
-  in
+  let sum = store_sum man.store in
   {
     Stats.vars = man.vars;
-    live_nodes;
-    peak_live_nodes;
-    interned_total;
-    unique_capacity;
+    live_nodes = sum (fun t -> t.count) + 1;
+    peak_live_nodes = sum (fun t -> t.peak) + 1;
+    interned_total = sum (fun t -> t.made);
+    unique_capacity = sum (fun t -> t.mask + 1);
     external_refs = Hashtbl.length man.refs;
     cache_entries = man.centries;
     cache_capacity = man.cmask + 1;
@@ -1823,7 +1774,50 @@ let stats man =
     (100.0 *. Stats.hit_rate s)
     s.Stats.gc_runs s.Stats.gc_reclaimed
 
-(* ----- Concurrent manager tier: the shared store's public face ----- *)
+(* Structural audit of the manager's store: every stored node satisfies
+   the canonical-form invariants, no (var, bot, then, else) key appears
+   twice anywhere in the store, and every stripe's live count matches
+   its slots.  Returns the live node count. *)
+let self_check man =
+  let sh = man.store in
+  let fail what = failwith ("Bdd.self_check: " ^ what) in
+  let seen = Hashtbl.create 4096 in
+  let total = ref 0 in
+  Array.iter
+    (fun t ->
+       Mutex.lock t.lock;
+       let count = ref 0 in
+       Array.iter
+         (fun n ->
+            if n != sh.sh_terminal then begin
+              incr count;
+              if n.n_hi.neg then fail "complemented then-edge";
+              if n.var > n.bot then fail "bot above var";
+              if (not sh.sh_chain) && n.bot > n.var then
+                fail "chain node in a plain store";
+              if n.bot >= n.n_hi.node.var || n.bot >= n.n_lo.node.var then
+                fail "level order violated";
+              if n.n_hi.node == n.n_lo.node && n.n_hi.neg = n.n_lo.neg then
+                fail "redundant node";
+              if
+                sh.sh_chain
+                && n.n_hi.node.var = const_var && not n.n_hi.neg
+                && (not n.n_lo.neg)
+                && n.n_lo.node.var = n.bot + 1
+              then fail "unabsorbed chain";
+              let key = (n.var, n.bot, n.n_hi.node.id, uid n.n_lo) in
+              if Hashtbl.mem seen key then fail "duplicate node (canonicity)";
+              Hashtbl.add seen key ()
+            end)
+         t.slots;
+       let drifted = !count <> t.count in
+       Mutex.unlock t.lock;
+       if drifted then fail "live count drifted";
+       total := !total + !count)
+    sh.sh_stripes;
+  !total
+
+(* ----- Concurrent manager tier: the striped store's public face ----- *)
 
 module Shared = struct
   type store = shared
@@ -1841,125 +1835,21 @@ module Shared = struct
     barrier_wait_ns : int;
   }
 
-  let create ?(nvars = 0) ?(stripes = 64) ?(repr : repr = `Bdd) () =
+  let create ?(stripes = 64) ?(repr : repr = `Bdd) () =
     if stripes < 1 then invalid_arg "Shared.create: stripes";
-    let nstripes = min 1024 (next_pow2 stripes 1) in
-    let rec terminal =
-      { id = 0; var = const_var; bot = const_var; n_hi = self; n_lo = self;
-        mark = false }
-    and self = { neg = false; node = terminal } in
-    {
-      sh_chain = (repr = `Cbdd);
-      sh_stripes =
-        Array.init nstripes (fun _ ->
-            {
-              st_lock = Mutex.create ();
-              st_slots = Array.make min_stripe_capacity terminal;
-              st_mask = min_stripe_capacity - 1;
-              st_count = 0;
-            });
-      sh_terminal = terminal;
-      sh_top = self;
-      sh_next_id = Atomic.make 1;
-      sh_made = Atomic.make 0;
-      sh_live = Atomic.make 0;
-      sh_peak = Atomic.make 0;
-      sh_vars = Atomic.make nvars;
-      sh_ext_refs = Atomic.make 0;
-      sh_gc_wanted = Atomic.make false;
-      sh_no_auto = Atomic.make 0;
-      sh_active = Atomic.make 0;
-      sh_gc_pending = Atomic.make false;
-      sh_lock = Mutex.create ();
-      sh_cv = Condition.create ();
-      sh_gc_lock = Mutex.create ();
-      sh_views = [];
-      sh_free = [];
-      sh_intern_retries = Atomic.make 0;
-      sh_barrier_waits = Atomic.make 0;
-      sh_barrier_wait_ns = Atomic.make 0;
-      sh_gc_runs = Atomic.make 0;
-      sh_gc_reclaimed = Atomic.make 0;
-    }
+    make_store ~solo:false ~chain:(repr = `Cbdd) ~nvars:0
+      ~stripes:(min 1024 (next_pow2 stripes 1))
+      ~min_capacity:min_stripe_capacity
 
-  (* A view: domain-local computed cache, cube tables, roots, budget and
-     counters over the shared node store.  The private unique-table
-     fields are left as one-slot stubs — every intern dispatches to the
-     store.  Registration makes the view a GC root source, so attach it
-     before rooting anything through it. *)
-  let attach ?(cache_bits = default_cache_bits)
-      ?(cache_budget = default_cache_budget) ?(auto_gc = true) sh =
-    let terminal = sh.sh_terminal in
-    let cache_bits = max 1 (min 24 cache_bits) in
-    let ccap = 1 lsl cache_bits in
-    let cache_max_entries =
-      let budget_entries = max 1 (cache_budget / bytes_per_cache_entry) in
-      let rec down k = if k * 2 <= budget_entries then down (k * 2) else k in
-      max ccap (down 1)
-    in
-    let nvars = Atomic.get sh.sh_vars in
-    let view =
-      {
-        chain = sh.sh_chain;
-        vars = nvars;
-        uslots = Array.make 1 terminal;
-        umask = 0;
-        ucount = 0;
-        ck0 = Array.make ccap min_int;
-        ck1 = Array.make ccap 0;
-        ck2 = Array.make ccap 0;
-        cres = Array.make ccap sh.sh_top;
-        cmask = ccap - 1;
-        centries = 0;
-        clog = cache_log ccap;
-        cache_max_entries;
-        evict_since_resize = 0;
-        next_id = 1;
-        terminal;
-        top = sh.sh_top;
-        made = 0;
-        iarr_ids =
-          (let t = Hashtbl.create 64 in
-           Hashtbl.add t [||] 0;
-           t);
-        next_iarr = 1;
-        cube_suffixes = Hashtbl.create 64;
-        var_edges = Array.make (max 16 nvars) None;
-        refs = Hashtbl.create 64;
-        auto_gc;
-        gc_wanted = false;
-        budget = None;
-        n_ite = 0;
-        n_and = 0;
-        n_xor = 0;
-        n_constrain = 0;
-        n_restrict = 0;
-        n_quantify = 0;
-        n_and_exists = 0;
-        c_lookups = 0;
-        c_hits = 0;
-        c_stores = 0;
-        c_evicts = 0;
-        gc_runs = 0;
-        gc_nodes = 0;
-        peak_live = 0;
-        shared = Some sh;
-        op_depth = 0;
-      }
-    in
-    if not auto_gc then Atomic.incr sh.sh_no_auto;
-    Mutex.lock sh.sh_lock;
-    sh.sh_views <- view :: sh.sh_views;
-    Mutex.unlock sh.sh_lock;
-    view
+  let attach sh = make_view sh
 
-  let store_of man = man.shared
-  let is_shared man = Option.is_some man.shared
+  (* A private manager's solo store is not shareable. *)
+  let store_of man = if man.store.sh_solo then None else Some man.store
 
   (* Deregistration drops the view's roots: nodes only it kept alive
      become garbage at the next collection. *)
   let detach man =
-    match man.shared with
+    match store_of man with
     | None -> invalid_arg "Shared.detach: private manager"
     | Some sh ->
       Mutex.lock sh.sh_lock;
@@ -2001,61 +1891,18 @@ module Shared = struct
         Mutex.unlock sh.sh_lock)
       (fun () -> f view)
 
-  let stripes sh = Array.length sh.sh_stripes
-  let live_nodes sh = Atomic.get sh.sh_live
-
   let telemetry sh =
+    let sum = store_sum sh in
     {
       stripes = Array.length sh.sh_stripes;
       views = view_count sh;
-      live_nodes = Atomic.get sh.sh_live;
-      peak_live_nodes = Atomic.get sh.sh_peak;
-      interned_total = Atomic.get sh.sh_made;
+      live_nodes = sum (fun t -> t.count);
+      peak_live_nodes = sum (fun t -> t.peak);
+      interned_total = sum (fun t -> t.made);
       intern_retries = Atomic.get sh.sh_intern_retries;
       gc_runs = Atomic.get sh.sh_gc_runs;
       gc_reclaimed = Atomic.get sh.sh_gc_reclaimed;
       barrier_waits = Atomic.get sh.sh_barrier_waits;
       barrier_wait_ns = Atomic.get sh.sh_barrier_wait_ns;
     }
-
-  (* Structural audit for tests: every stored node satisfies the
-     canonical-form invariants and no (var, then, else) triple appears
-     twice anywhere in the store.  Returns the live node count. *)
-  let self_check sh =
-    let seen = Hashtbl.create 4096 in
-    let count = ref 0 in
-    Array.iter
-      (fun st ->
-         Mutex.lock st.st_lock;
-         Array.iter
-           (fun n ->
-              if n != sh.sh_terminal then begin
-                incr count;
-                if n.n_hi.neg then
-                  failwith "Shared.self_check: complemented then-edge";
-                if n.var > n.bot then
-                  failwith "Shared.self_check: bot above var";
-                if (not sh.sh_chain) && n.bot > n.var then
-                  failwith "Shared.self_check: chain node in a plain store";
-                if n.bot >= n.n_hi.node.var || n.bot >= n.n_lo.node.var then
-                  failwith "Shared.self_check: level order violated";
-                if n.n_hi.node == n.n_lo.node && n.n_hi.neg = n.n_lo.neg then
-                  failwith "Shared.self_check: redundant node";
-                if
-                  sh.sh_chain
-                  && n.n_hi.node.var = const_var && not n.n_hi.neg
-                  && (not n.n_lo.neg)
-                  && n.n_lo.node.var = n.bot + 1
-                then failwith "Shared.self_check: unabsorbed chain";
-                let key = (n.var, n.bot, n.n_hi.node.id, uid n.n_lo) in
-                if Hashtbl.mem seen key then
-                  failwith "Shared.self_check: duplicate node (canonicity)";
-                Hashtbl.add seen key ()
-              end)
-           st.st_slots;
-         Mutex.unlock st.st_lock)
-      sh.sh_stripes;
-    if !count <> Atomic.get sh.sh_live then
-      failwith "Shared.self_check: live count drifted";
-    !count
 end

@@ -23,19 +23,22 @@
     [Bdd.create ~repr] rather than {!new_man}. *)
 
 type man
-(** A BDD manager: owns the unique table and the operation caches.  All
-    edges combined by an operation must belong to the same manager — or,
-    for shared-store views, to views of the same store (see {!Shared}).
+(** A BDD manager: a view of a node store.  The store holds the unique
+    table; the view holds the operation caches, roots and counters.  All
+    edges combined by an operation must belong to views of the same
+    store — for a private manager, to the manager itself (see
+    {!Shared}).
 
-    A manager created by {!new_man} is {e domain-local by design}: there
-    is no internal locking, so it (and every edge it owns) must stay
-    confined to one domain at a time.  Parallel workloads either give
-    each worker its own private manager — the experiment matrix is
-    embarrassingly parallel across managers (see [Exec] and
-    [Harness.Capture.run_suite]) — or attach per-domain {e views} of one
-    {!Shared.store} so workers cooperate on a single node space.  A view
-    is still single-domain state (its computed cache and counters are
-    unsynchronized); only the underlying store is concurrent. *)
+    A manager created by {!new_man} is the only view of its own
+    one-stripe store and is {e domain-local by design}: there is no
+    internal locking, so it (and every edge it owns) must stay confined
+    to one domain at a time.  Parallel workloads either give each worker
+    its own private manager — the experiment matrix is embarrassingly
+    parallel across managers (see [Exec] and
+    [Harness.Capture.run_suite]) — or attach per-domain views of one
+    striped {!Shared.store} so workers cooperate on a single node space.
+    A view is still single-domain state (its computed cache and counters
+    are unsynchronized); only the underlying store is concurrent. *)
 
 type t
 (** An edge (a possibly complemented pointer to a node).  Two edges of the
@@ -92,8 +95,8 @@ val clear_caches : man -> unit
     is recorded in a touched-slot log (1024 entries, doubling on demand
     up to half the cache's slots), and the flush empties just those,
     falling back to a full fill only once more slots were filled than
-    the log holds.  {!gc} and the shared-store collection flush through
-    the same routine. *)
+    the log holds.  {!gc} flushes every view's cache through the same
+    routine. *)
 
 (** {1 External references and garbage collection}
 
@@ -129,10 +132,11 @@ val set_auto_gc : man -> bool -> unit
 
 val without_auto_gc : man -> (unit -> 'a) -> 'a
 (** Run with the automatic trigger suspended, restoring it on exit (also
-    on exceptions).  For long fixpoint loops whose working set lives on
-    un-rooted edges: an automatic collection would sweep the in-flight
-    sets (costing canonicity and the computed cache) every time the
-    table grows past a long-lived root. *)
+    on exceptions); a collection already armed runs first.  For long
+    fixpoint loops whose working set lives on un-rooted edges: an
+    automatic collection would sweep the in-flight sets (costing
+    canonicity and the computed cache) every time the table grows past
+    a long-lived root. *)
 
 (** {1 Resource budgets}
 
@@ -243,6 +247,8 @@ module Stats : sig
     vars : int;
     live_nodes : int;  (** currently interned nodes, terminal included *)
     peak_live_nodes : int;
+    (** exact on a private manager; on a view of a striped store the sum
+        of the stripes' peaks, an upper bound *)
     interned_total : int;  (** nodes ever interned *)
     unique_capacity : int;
     external_refs : int;
@@ -512,17 +518,35 @@ val count_below : man -> t -> int -> int
 (** The paper's [N_i(g)]: number of distinct nodes rooted strictly below
     level [i] (terminal included). *)
 
+(** {1 Audit} *)
+
+val self_check : man -> int
+(** Audit the manager's node store: canonical-form invariants on every
+    interned node, store-wide uniqueness of [(var, bot, then, else)]
+    keys, and each stripe's live count against its slots.  On a view of
+    a {!Shared.store} this audits the whole store; on a private manager,
+    its own table.  Returns the live node count (terminal excluded).
+    Takes every stripe lock in turn; meant for tests and invariant
+    checks.  @raise Failure on any violation. *)
+
 (** {1 Concurrent manager tier}
 
-    A {!Shared.store} is a node space several domains can safely share:
+    Every manager is a {e view} of a node store: the store holds the
+    unique table and the collector, the view its computed cache, cube
+    tables, external roots, budget and statistics.  A private manager
+    ({!new_man}, [Bdd.create]) is the only view of its own one-stripe
+    store, which takes no lock and has no barrier to enter.
+
+    A {!Shared.store} is a node store several domains can safely share:
     a striped open-addressed unique table (the stripe is chosen from
     hash bits disjoint from the in-stripe probe bits, so concurrent
     interns rarely contend on a lock) plus a stop-the-world
-    mark-and-sweep collector.  Each participating domain {!Shared.attach}es
-    a {e view} — an ordinary {!man} whose interning is routed to the
-    store while its computed cache, cube tables, external roots, budget
-    and statistics stay domain-local, eliminating cache-line ping-pong
-    on the apply hot path.
+    mark-and-sweep collector.  Each participating domain
+    {!Shared.attach}es a view, so its computed cache, cube tables,
+    external roots, budget and statistics stay domain-local, eliminating
+    cache-line ping-pong on the apply hot path.  Interning, collection
+    and the audit ({!self_check}) are the same code for both kinds of
+    store.
 
     Safety contract:
     - a view is used by at most one domain at a time (views may migrate
@@ -535,31 +559,40 @@ val count_below : man -> t -> int -> int
       collection stops the world, marks from {e every} view's registered
       roots and projection functions, sweeps the stripes and resets
       every view's computed cache;
-    - automatic collection needs unanimous consent: any view inside
-      {!without_auto_gc} vetoes the trigger store-wide, so fixpoint
-      loops keep their un-rooted working sets canonical even while other
+    - a collection also keeps each view's latest result until that
+      view's next operation returns, so one another domain starts
+      between an operation and the caller's {!ref_} of its result does
+      not sweep it; root every edge kept longer;
+    - a view inside {!without_auto_gc} stops table growth from arming an
+      automatic collection and vetoes armed ones on every view (one
+      armed earlier runs as the suspension begins), so fixpoint loops
+      keep their un-rooted working sets canonical even while other
       domains keep operating;
     - read-only inspection ({!size}, {!support}, {!eval}, {!iter_nodes})
       is safe concurrently with interning, but as in the private engine
-      un-rooted edges may lose canonicity across a collection. *)
+      un-rooted edges may lose canonicity across a collection.
+
+    {!snapshot} on a view reports store-wide table figures; its
+    [peak_live_nodes] (like {!Shared.telemetry}'s) is the sum of the
+    stripes' own peaks, an upper bound on the store's peak because the
+    stripes need not peak at the same moment. *)
 
 module Shared : sig
   type store
   (** A shared node store.  Thread-safe; create once, attach a view per
       worker domain. *)
 
-  val create : ?nvars:int -> ?stripes:int -> ?repr:repr -> unit -> store
+  val create : ?stripes:int -> ?repr:repr -> unit -> store
   (** [create ()] builds an empty store.  [stripes] (default 64, rounded
       up to a power of two, clamped to [1, 1024]) is the unique-table
       stripe count: each stripe is an independently locked and
       independently grown open-addressed table.  [repr] (default
       [`Bdd]) fixes the node representation of every view. *)
 
-  val attach :
-    ?cache_bits:int -> ?cache_budget:int -> ?auto_gc:bool -> store -> man
-  (** Attach a fresh view for the calling domain (parameters as in
-      {!new_man}, governing the view's private computed cache).  The
-      view is registered as a GC root source until {!detach}. *)
+  val attach : store -> man
+  (** Attach a fresh view for the calling domain, with a computed cache
+      sized as {!new_man}'s defaults and automatic collection enabled.
+      The view is registered as a GC root source until {!detach}. *)
 
   val detach : man -> unit
   (** Deregister a view: its external roots stop protecting nodes at
@@ -576,22 +609,16 @@ module Shared : sig
   val store_of : man -> store option
   (** The store a view is attached to; [None] for private managers. *)
 
-  val is_shared : man -> bool
-
   val view_count : store -> int
   (** Number of currently attached views ({!Reorder.sift} refuses a
       manager whose store has more than one). *)
 
-  val stripes : store -> int
-
-  val live_nodes : store -> int
-  (** Store-wide live node count, terminal excluded. *)
-
   type telemetry = {
     stripes : int;
     views : int;
-    live_nodes : int;
+    live_nodes : int;  (** store-wide, terminal excluded *)
     peak_live_nodes : int;
+    (** sum of the stripes' peaks: an upper bound on the store's peak *)
     interned_total : int;
     intern_retries : int;
     (** interns that found their stripe lock already held *)
@@ -604,10 +631,4 @@ module Shared : sig
   }
 
   val telemetry : store -> telemetry
-
-  val self_check : store -> int
-  (** Audit the store: canonical-form invariants on every interned node
-      and store-wide uniqueness of [(var, then, else)] triples.  Returns
-      the live node count.  Stops no clocks but takes every stripe lock;
-      meant for tests.  @raise Failure on any violation. *)
 end

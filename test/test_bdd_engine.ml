@@ -207,6 +207,7 @@ let gc_reclaims_and_roots_survive () =
   Util.checki "live accounting" (live_before - reclaimed) s.Bdd.Stats.live_nodes;
   Util.checki "gc runs counted" 1 s.Bdd.Stats.gc_runs;
   Util.checki "reclaimed total counted" reclaimed s.Bdd.Stats.gc_reclaimed;
+  Util.checki "audit after gc" (s.Bdd.Stats.live_nodes - 1) (Bdd.self_check man);
   (* the rooted cone still canonical: rebuilding it finds the same node *)
   let again = Bdd.dand man (x 0) (Bdd.dor man (x 1) (x 2)) in
   Util.checkb "rooted edge kept its identity" (Bdd.uid again = kept_uid);

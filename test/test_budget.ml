@@ -174,7 +174,9 @@ let consistency_after_abort =
            (fun () -> Bdd.dxor man f c);
            (fun () -> Bdd.restrict man f c);
          ];
-       (* The manager still GCs cleanly after the aborts. *)
+       (* The unique table passes the audit, and the manager still GCs
+          cleanly, after the aborts. *)
+       ignore (Bdd.self_check man);
        ignore (Bdd.gc man);
        (* Unbudgeted retries on the aborted manager vs. a fresh manager. *)
        let man2 = Bdd.create () in

@@ -23,7 +23,7 @@ let shared_canonicity () =
     Util.checkb "same function, same edge across views" (Bdd.equal f1 f2)
   done;
   Util.checki "both views registered" 2 (Bdd.Shared.view_count store);
-  ignore (Bdd.Shared.self_check store);
+  ignore (Bdd.self_check v1);
   Bdd.Shared.detach v2;
   Util.checki "detach deregisters" 1 (Bdd.Shared.view_count store)
 
@@ -46,7 +46,7 @@ let shared_gc_resets_view_caches () =
   Util.checkb "the collection swept them" (Bdd.gc v1 > 0);
   Util.checki "requesting view emptied" 0 (entries v1);
   Util.checki "other view emptied" 0 (entries v2);
-  ignore (Bdd.Shared.self_check store);
+  ignore (Bdd.self_check v1);
   (* a swept node served from a stale slot would not be the store's
      canonical edge for its function *)
   List.iter
@@ -57,7 +57,7 @@ let shared_gc_resets_view_caches () =
               (Bdd.equal r (Tt.to_bdd view (Tt.of_bdd view ~nvars:n r))))
          (derived view))
     [ v1; v2 ];
-  ignore (Bdd.Shared.self_check store)
+  ignore (Bdd.self_check v2)
 
 (* ----- Par.map bit-identity (qcheck differential) ----- *)
 
@@ -106,7 +106,7 @@ let reach_par_differential () =
               (Printf.sprintf "%s: -j %d iterations" name jobs)
               seq_st.Fsm.Reach.iterations st.Fsm.Reach.iterations)
          [ 2; 4 ];
-       ignore (Bdd.Shared.self_check store);
+       ignore (Bdd.self_check man);
        (* the concurrent tier actually ran: striped table, interned
           nodes, at least the attached view *)
        let t = Bdd.Shared.telemetry store in
@@ -175,73 +175,129 @@ let suite_csv_jobs_differential () =
 let stress_domains = 4
 let stress_applies = 10_000
 
+(* Domain [d]'s random build on [view].  Only rooted edges keep their
+   canonical node across a collection, so every edge carried from one
+   operation to the next is rooted: the accumulator at each step (the
+   new edge ref'd before the old one is deref'd, and before the view's
+   next operation), each partial result for the duration of its use.
+   Once rooted, each new accumulator is re-interned from its cofactors:
+   a node swept before its [ref_] would come back as a fresh one.
+   Returns the final accumulator, still rooted on [view], and the count
+   of such stale results. *)
+let stress_build view d =
+  let st = Random.State.make [| d; 0xabcd |] in
+  let nvars = 12 in
+  let acc = ref (Bdd.ithvar view (d mod nvars)) in
+  let stale = ref 0 in
+  Bdd.ref_ view !acc;
+  for _ = 1 to stress_applies do
+    let v = Bdd.ithvar view (Random.State.int st nvars) in
+    let w = Bdd.ithvar view (Random.State.int st nvars) in
+    let part =
+      match Random.State.int st 4 with
+      | 0 -> Bdd.dand view v w
+      | 1 -> Bdd.dor view (Bdd.compl v) w
+      | 2 -> Bdd.dxor view v w
+      | _ -> Bdd.ite view v w (Bdd.compl !acc)
+    in
+    let next =
+      Bdd.with_root view part @@ fun part ->
+      match Random.State.int st 3 with
+      | 0 -> Bdd.dand view !acc part
+      | 1 -> Bdd.dor view !acc part
+      | _ -> Bdd.dxor view !acc part
+    in
+    Bdd.ref_ view next;
+    if not (Bdd.is_const next) then begin
+      let again =
+        Bdd.ite view
+          (Bdd.ithvar view (Bdd.topvar next))
+          (Bdd.hi view next) (Bdd.lo view next)
+      in
+      if not (Bdd.equal again next) then incr stale
+    end;
+    Bdd.deref view !acc;
+    acc := next
+  done;
+  (!acc, !stale)
+
 let multi_domain_stress () =
   let store = Bdd.Shared.create () in
   let man = Bdd.Shared.attach store in
   (* every domain hammers the same store with random applies on its own
-     view; each keeps its last result ref'd so collection has real roots
-     to preserve *)
-  let kept =
+     view, rooting its accumulator at every step, so collection has real
+     roots to preserve and growth arms automatic collections that stop
+     the other domains mid-build.  A result is un-rooted between the
+     operation that made it and its [ref_]; the view keeps its latest
+     result through a collection another domain starts there. *)
+  let built =
     Exec.map ~jobs:stress_domains
       (fun d ->
-         Bdd.Shared.with_view store @@ fun view ->
-         let st = Random.State.make [| d; 0xabcd |] in
-         let nvars = 12 in
-         let acc = ref (Bdd.ithvar view (d mod nvars)) in
-         for _ = 1 to stress_applies do
-           let v = Bdd.ithvar view (Random.State.int st nvars) in
-           let w = Bdd.ithvar view (Random.State.int st nvars) in
-           let part =
-             match Random.State.int st 4 with
-             | 0 -> Bdd.dand view v w
-             | 1 -> Bdd.dor view (Bdd.compl v) w
-             | 2 -> Bdd.dxor view v w
-             | _ -> Bdd.ite view v w (Bdd.compl !acc)
-           in
-           acc :=
-             (match Random.State.int st 3 with
-              | 0 -> Bdd.dand view !acc part
-              | 1 -> Bdd.dor view !acc part
-              | _ -> Bdd.dxor view !acc part)
-         done;
-         Bdd.ref_ view !acc;
-         (d, !acc))
+         Bdd.Shared.with_view store @@ fun view -> (d, stress_build view d))
       (List.init stress_domains Fun.id)
   in
-  let live_before = Bdd.Shared.live_nodes store in
+  let t = Bdd.Shared.telemetry store in
+  Util.checkb "automatic collections ran during the builds"
+    (t.Bdd.Shared.gc_runs > 0);
+  Util.checki "every result was still interned when rooted" 0
+    (List.fold_left (fun acc (_, (_, stale)) -> acc + stale) 0 built);
+  let kept = List.map (fun (d, (f, _)) -> (d, f)) built in
+  let live_before = t.Bdd.Shared.live_nodes in
   Util.checkb "stress interned nodes" (live_before > 0);
-  ignore (Bdd.Shared.self_check store);
+  ignore (Bdd.self_check man);
   let reclaimed = Bdd.gc man in
   Util.checkb "gc ran" (reclaimed >= 0);
   (* the audit re-verifies canonical form, level order and store-wide
      uniqueness after collection rebuilt every stripe *)
-  ignore (Bdd.Shared.self_check store);
+  ignore (Bdd.self_check man);
   (* kept roots survive and rebuilding them yields the very same edges *)
   List.iter
     (fun (d, f) ->
        Bdd.Shared.with_view store @@ fun view ->
-       let st = Random.State.make [| d; 0xabcd |] in
-       let nvars = 12 in
-       let acc = ref (Bdd.ithvar view (d mod nvars)) in
-       for _ = 1 to stress_applies do
-         let v = Bdd.ithvar view (Random.State.int st nvars) in
-         let w = Bdd.ithvar view (Random.State.int st nvars) in
-         let part =
-           match Random.State.int st 4 with
-           | 0 -> Bdd.dand view v w
-           | 1 -> Bdd.dor view (Bdd.compl v) w
-           | 2 -> Bdd.dxor view v w
-           | _ -> Bdd.ite view v w (Bdd.compl !acc)
-         in
-         acc :=
-           (match Random.State.int st 3 with
-            | 0 -> Bdd.dand view !acc part
-            | 1 -> Bdd.dor view !acc part
-            | _ -> Bdd.dxor view !acc part)
-       done;
-       Util.checkb "replayed build returns the kept edge" (Bdd.equal f !acc);
-       Bdd.deref man f)
+       let replayed, _ = stress_build view d in
+       Util.checkb "replayed build returns the kept edge" (Bdd.equal f replayed);
+       Bdd.deref view replayed)
     kept
+
+(* ----- auto-GC suspension ----- *)
+
+(* A collection armed before [without_auto_gc] runs as the suspension
+   begins, so none fires inside it; growth inside it arms nothing for
+   later.  The same rule holds on a private manager and on a view. *)
+let suspension_runs_armed_gc_first () =
+  let check label man =
+    let st = Random.State.make [| 17 |] in
+    let x = Array.init 16 (Bdd.ithvar man) in
+    let pick () = x.(Random.State.int st 16) in
+    let runs () = (Bdd.snapshot man).Bdd.Stats.gc_runs in
+    let capacity () = (Bdd.snapshot man).Bdd.Stats.unique_capacity in
+    (* one operation at a time until one grows the table: that growth
+       armed a collection for the next operation boundary *)
+    let grow () =
+      let cap = capacity () in
+      let rec go f =
+        let t = Bdd.dand man (pick ()) (pick ()) in
+        if capacity () = cap then
+          let f = Bdd.dxor man f t in
+          if capacity () = cap then go f
+      in
+      go (Bdd.zero man)
+    in
+    Bdd.ref_ man x.(0);
+    grow ();
+    let armed = runs () in
+    Bdd.without_auto_gc man (fun () ->
+        Util.checki (label ^ ": armed collection ran as the suspension began")
+          (armed + 1) (runs ());
+        grow ();
+        Util.checki (label ^ ": nothing collects inside the suspension")
+          (armed + 1) (runs ()));
+    ignore (Bdd.dand man x.(1) x.(2));
+    Util.checki (label ^ ": growth inside the suspension armed nothing")
+      (armed + 1) (runs ())
+  in
+  check "private" (Bdd.create ());
+  check "view" (Bdd.Shared.attach (Bdd.Shared.create ~stripes:1 ()))
 
 (* ----- sift guard on shared managers ----- *)
 
@@ -272,6 +328,8 @@ let suite =
       suite_csv_jobs_differential;
     Alcotest.test_case "multi-domain intern stress + gc + audit" `Slow
       multi_domain_stress;
+    Alcotest.test_case "without_auto_gc runs an armed collection first" `Quick
+      suspension_runs_armed_gc_first;
     Alcotest.test_case "sift refuses shared multi-view manager" `Quick
       sift_refuses_multi_view;
     Alcotest.test_case "shared gc empties every view's cache" `Quick

@@ -36,6 +36,7 @@ let rebuild_preserves_semantics =
          placement.(j) <- tmp
        done;
        let target, rebuilt = Bdd.Reorder.rebuild man ~placement [ f ] in
+       ignore (Bdd.self_check target);
        match rebuilt with
        | [ g ] ->
          List.for_all

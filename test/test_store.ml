@@ -36,7 +36,9 @@ let roundtrip_other_manager =
        let text = Bdd.Store.save man [ ("f", f) ] in
        let man2 = Bdd.create () in
        match Bdd.Store.load man2 text with
-       | Ok [ ("f", f') ] -> Tt.equal tt (Tt.of_bdd man2 ~nvars:n f')
+       | Ok [ ("f", f') ] ->
+         ignore (Bdd.self_check man2);
+         Tt.equal tt (Tt.of_bdd man2 ~nvars:n f')
        | _ -> false)
 
 let sharing_preserved () =
