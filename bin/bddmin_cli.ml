@@ -116,25 +116,6 @@ let jobs_term =
                  private BDD manager and outputs are collected in \
                  submission order.")
 
-(* ----- node-representation selection (--repr bdd|cbdd) ----- *)
-
-let repr_term =
-  Arg.(value & opt string "bdd"
-       & info [ "repr" ] ~docv:"R"
-           ~doc:"Node representation: $(b,bdd) (plain ROBDD) or \
-                 $(b,cbdd) (chain-reduced: runs of adjacent variables \
-                 forming an OR chain collapse into single nodes).  \
-                 Verdicts and the reported plain-equivalent sizes are \
-                 identical either way; $(b,cbdd) additionally reports \
-                 physical chain-aware node counts.")
-
-let resolve_repr s =
-  match Bdd.repr_of_string s with
-  | Some r -> r
-  | None ->
-    Printf.eprintf "unknown representation %S (expected bdd or cbdd)\n" s;
-    exit 2
-
 (* ----- frontier-minimizer selection (--minimize NAME) ----- *)
 
 let minimizer_term =
@@ -314,10 +295,9 @@ let lower_bound_cmd =
 (* ----- equiv ----- *)
 
 let equiv_cmd =
-  let run spec1 spec2 strategy cluster_bound minimizer repr budget trace =
+  let run spec1 spec2 strategy cluster_bound minimizer budget trace =
     let strategy = resolve_image_strategy strategy in
     let minimize = resolve_minimizer minimizer in
-    let repr = resolve_repr repr in
     match
       let* nl1 = load_netlist spec1 in
       let* nl2 =
@@ -329,7 +309,7 @@ let equiv_cmd =
       Printf.eprintf "error: %s\n" e;
       1
     | Ok (nl1, nl2) ->
-      let man = Bdd.create ~repr () in
+      let man = Bdd.create () in
       Bdd.set_budget man (make_budget budget);
       with_trace trace @@ fun () ->
       (match
@@ -366,14 +346,14 @@ let equiv_cmd =
   Cmd.v
     (Cmd.info "equiv" ~doc:"Check product-machine equivalence")
     Term.(
-      const (fun () a b c d e f g h -> run a b c d e f g h)
+      const (fun () a b c d e f g -> run a b c d e f g)
       $ logs_term $ spec1 $ spec2 $ strategy $ cluster_bound_term
-      $ minimizer_term $ repr_term $ budget_spec_term $ trace_term)
+      $ minimizer_term $ budget_spec_term $ trace_term)
 
 (* ----- reach ----- *)
 
 let reach_cmd =
-  let run spec image cluster_bound jobs minimizer repr budget trace =
+  let run spec image cluster_bound jobs minimizer budget trace =
     match load_netlist spec with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -381,15 +361,14 @@ let reach_cmd =
     | Ok nl ->
       let strategy = resolve_image_strategy image in
       let minimize = resolve_minimizer minimizer in
-      let repr = resolve_repr repr in
       (* -j N > 1 swaps the private manager for a view of a shared node
          store plus a worker pool: the fixpoint's image merges fan out
          across the pool, each worker on its own view, and the result is
          bit-identical to -j 1 (BDDs are canonical store-wide) *)
       let with_engine k =
-        if jobs <= 1 then k (Bdd.create ~repr ()) None
+        if jobs <= 1 then k (Bdd.create ()) None
         else begin
-          let store = Bdd.Shared.create ~repr () in
+          let store = Bdd.Shared.create () in
           let man = Bdd.Shared.attach store in
           Exec.Pool.with_pool ~jobs @@ fun pool ->
           k man (Some (Fsm.Image.par ~pool ~store))
@@ -425,18 +404,17 @@ let reach_cmd =
   Cmd.v
     (Cmd.info "reach" ~doc:"Symbolic reachability statistics")
     Term.(
-      const (fun () a b c d e f g h -> run a b c d e f g h)
+      const (fun () a b c d e f g -> run a b c d e f g)
       $ logs_term $ spec $ image_term "partitioned" $ cluster_bound_term
-      $ jobs_term $ minimizer_term $ repr_term $ budget_spec_term
-      $ trace_term)
+      $ jobs_term $ minimizer_term $ budget_spec_term $ trace_term)
 
 (* ----- stats ----- *)
 
 let stats_cmd =
-  let analyze cache_bits strategy cluster_bound repr budget nl =
+  let analyze cache_bits strategy cluster_bound budget nl =
     let buf = Buffer.create 1024 in
     let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let man = Bdd.create ?cache_bits ~repr () in
+    let man = Bdd.create ?cache_bits () in
     let sym = Fsm.Symbolic.of_netlist man nl in
     (* one budget per machine, installed after the netlist-to-BDD build:
        budgets are stateful, managers private, and only the fixpoint
@@ -450,15 +428,9 @@ let stats_cmd =
       | Fsm.Reach.Partial { reason; _ } ->
         Some (Bdd.Budget.reason_label reason)
     in
-    out "reachability: %.0f states in %d iterations, |R| = %d nodes%s%s\n\n"
+    out "reachability: %.0f states in %d iterations, |R| = %d nodes%s\n\n"
       st.Fsm.Reach.reached_states st.Fsm.Reach.iterations
-      (Bdd.Metric.plain_equivalent man reached)
-      (* both size metrics under the chain-reduced representation; plain
-         output is unchanged *)
-      (match repr with
-       | `Bdd -> ""
-       | `Cbdd ->
-         Printf.sprintf " (%d chain-aware)" (Bdd.Metric.nodes man reached))
+      (Bdd.size man reached)
       (match partial with
        | None -> ""
        | Some label -> Printf.sprintf "  [PARTIAL(%s)]" label);
@@ -473,9 +445,8 @@ let stats_cmd =
       reclaimed s.Bdd.Stats.live_nodes;
     (Buffer.contents buf, partial <> None)
   in
-  let run specs cache_bits image cluster_bound jobs repr budget trace =
+  let run specs cache_bits image cluster_bound jobs budget trace =
     let strategy = resolve_image_strategy image in
-    let repr = resolve_repr repr in
     let loaded =
       List.fold_right
         (fun spec acc ->
@@ -496,7 +467,7 @@ let stats_cmd =
       let reports =
         Exec.map ~jobs
           (fun (_, nl) ->
-             analyze cache_bits strategy cluster_bound repr budget nl)
+             analyze cache_bits strategy cluster_bound budget nl)
           machines
       in
       (match reports with
@@ -524,20 +495,18 @@ let stats_cmd =
        ~doc:"Engine statistics (cache, GC, recursion counters) for a \
              reachability run")
     Term.(
-      const (fun () a b c d e f g h -> run a b c d e f g h)
+      const (fun () a b c d e f g -> run a b c d e f g)
       $ logs_term $ specs $ cache_bits $ image_term "partitioned"
-      $ cluster_bound_term $ jobs_term $ repr_term $ budget_spec_term
-      $ trace_term)
+      $ cluster_bound_term $ jobs_term $ budget_spec_term $ trace_term)
 
 (* ----- tables ----- *)
 
 let tables_cmd =
-  let run quick out_dir max_calls image cluster_bound jobs repr budget trace =
+  let run quick out_dir max_calls image cluster_bound jobs budget trace =
     let benches =
       if quick then Circuits.Registry.quick else Circuits.Registry.all
     in
     let image_strategy = resolve_image_strategy image in
-    let repr = resolve_repr repr in
     let node_budget, step_budget, time_budget = budget in
     let config =
       Harness.Capture.(
@@ -545,8 +514,7 @@ let tables_cmd =
         |> with_image_strategy image_strategy
         |> with_cluster_bound cluster_bound
         |> with_jobs jobs |> with_node_budget node_budget
-        |> with_step_budget step_budget |> with_time_budget time_budget
-        |> with_repr repr)
+        |> with_step_budget step_budget |> with_time_budget time_budget)
     in
     let suite =
       with_trace trace @@ fun () ->
@@ -562,12 +530,6 @@ let tables_cmd =
     print_endline (Harness.Tables.render_table4 calls);
     print_endline (Harness.Tables.render_figure3 calls);
     print_endline (Harness.Tables.render_lower_bound_summary ~names calls);
-    (* dual size columns only for chain-reduced captures: plain output
-       stays byte-identical to earlier releases *)
-    (match repr with
-     | `Bdd -> ()
-     | `Cbdd ->
-       print_endline (Harness.Tables.render_chain_summary ~names calls));
     (* DNF(reason) rows for budget-exhausted machines, as in the paper's
        tables; absent (and the output unchanged) without budgets. *)
     List.iter
@@ -608,70 +570,15 @@ let tables_cmd =
   Cmd.v
     (Cmd.info "tables" ~doc:"Reproduce the paper's tables and figure")
     Term.(
-      const (fun () a b c d e f g h i -> run a b c d e f g h i)
+      const (fun () a b c d e f g h -> run a b c d e f g h)
       $ logs_term $ quick $ out_dir $ max_calls $ image_term "partitioned"
-      $ cluster_bound_term $ jobs_term $ repr_term $ budget_spec_term
-      $ trace_term)
+      $ cluster_bound_term $ jobs_term $ budget_spec_term $ trace_term)
 
 (* ----- bench: capture suite + machine-readable baseline ----- *)
 
-(* The bench's CBDD ablation: re-capture the quick suite under the
-   chain-reduced representation and compare every minimization verdict
-   (winner and plain-equivalent sizes) against the corresponding call
-   of the main capture.  Captures are deterministic, so the calls of a
-   shared benchmark line up positionally. *)
-let cbdd_phase ~config ~main_calls ~progress =
-  let (suite : Harness.Capture.suite), dt =
-    Obs.Clock.timed @@ fun () ->
-    Harness.Capture.run_suite_stats
-      ~config:(Harness.Capture.with_repr `Cbdd config)
-      ~progress Circuits.Registry.quick
-  in
-  let calls = suite.Harness.Capture.suite_calls in
-  let by_bench cs b =
-    List.filter (fun (c : Harness.Capture.call) -> c.bench = b) cs
-  in
-  let verdicts_identical =
-    List.for_all
-      (fun (b : Circuits.Registry.bench) ->
-         let name = b.Circuits.Registry.name in
-         let plain = by_bench main_calls name
-         and chain = by_bench calls name in
-         List.length plain = List.length chain
-         && List.for_all2
-              (fun (p : Harness.Capture.call) (c : Harness.Capture.call) ->
-                 p.min_size = c.min_size && p.min_name = c.min_name
-                 && p.sizes = c.sizes)
-              plain chain)
-      Circuits.Registry.quick
-  in
-  let plain_total =
-    List.fold_left
-      (fun acc (c : Harness.Capture.call) -> acc + c.min_size)
-      0 calls
-  in
-  (* the winner's physical size; chains make it <= the plain total *)
-  let chain_total =
-    List.fold_left
-      (fun acc (c : Harness.Capture.call) ->
-         acc
-         + Option.value ~default:c.min_size
-             (List.assoc_opt c.min_name c.chain_sizes))
-      0 calls
-  in
-  ( {
-      Harness.Bench_json.cbdd_calls = List.length calls;
-      cbdd_plain_total = plain_total;
-      cbdd_chain_total = chain_total;
-      cbdd_seconds = dt;
-      cbdd_verdicts_identical = verdicts_identical;
-    },
-    dt )
-
 let bench_cmd =
-  let run quick max_calls image cluster_bound jobs repr budget fail_fast
+  let run quick max_calls image cluster_bound jobs budget fail_fast
       serve_clients serve_requests out trace =
-    let repr = resolve_repr repr in
     let benches =
       if quick then Circuits.Registry.quick else Circuits.Registry.all
     in
@@ -684,7 +591,7 @@ let bench_cmd =
         |> with_cluster_bound cluster_bound
         |> with_jobs jobs |> with_node_budget node_budget
         |> with_step_budget step_budget |> with_time_budget time_budget
-        |> with_fail_fast fail_fast |> with_repr repr)
+        |> with_fail_fast fail_fast)
     in
     Printf.eprintf "capturing %d machines (<=%d calls each, %d job%s)\n%!"
       (List.length benches) max_calls jobs (if jobs = 1 then "" else "s");
@@ -696,14 +603,8 @@ let bench_cmd =
         benches
     in
     let calls = suite.Harness.Capture.suite_calls in
-    Printf.eprintf "cbdd ablation: re-capturing the quick suite\n%!";
-    let cbdd, cbdd_dt =
-      cbdd_phase ~config ~main_calls:calls
-        ~progress:(fun m -> Printf.eprintf "  %s\n%!" m)
-    in
     let serve, phases =
-      if serve_requests <= 0 then
-        (None, [ ("capture", dt); ("cbdd", cbdd_dt) ])
+      if serve_requests <= 0 then (None, [ ("capture", dt) ])
       else begin
         Printf.eprintf "serve phase: %d requests over %d clients\n%!"
           serve_requests serve_clients;
@@ -712,12 +613,10 @@ let bench_cmd =
           Serve.Loadgen.run ~clients:serve_clients ~requests:serve_requests
             ~explain:true ()
         in
-        ( Some stats,
-          [ ("capture", dt); ("cbdd", cbdd_dt); ("serve", serve_dt) ] )
+        (Some stats, [ ("capture", dt); ("serve", serve_dt) ])
       end
     in
-    Harness.Bench_json.write ?serve ~cbdd ~repr ~path:out ~jobs
-      ~quick ~max_calls
+    Harness.Bench_json.write ?serve ~path:out ~jobs ~quick ~max_calls
       ~image:(Fsm.Image.strategy_name image_strategy)
       ~limits:config.Harness.Capture.limits
       ~benches:(List.length benches) ~capture_seconds:dt ~phases
@@ -774,11 +673,9 @@ let bench_cmd =
               machines (optionally on several worker domains; the \
               result data is byte-identical at any $(b,-j)) and writes \
               a machine-readable JSON record: schema \
-              $(b,bddmin-bench-engine/10) with per-minimizer size/time \
+              $(b,bddmin-bench-engine/11) with per-minimizer size/time \
               totals, capture wall time, the image strategy, the \
-              resource limits with any DNF rows they produced, the \
-              CBDD ablation (the quick suite re-captured under chain \
-              reduction, its verdicts compared to this run), a serve \
+              resource limits with any DNF rows they produced, a serve \
               throughput/latency section (see $(b,--serve-requests)), \
               and the summed engine counters of every benchmark \
               manager.  Under \
@@ -788,10 +685,9 @@ let bench_cmd =
               of aborting the suite.";
          ])
     Term.(
-      const (fun () a b c d e f g h i j k l -> run a b c d e f g h i j k l)
+      const (fun () a b c d e f g h i j k -> run a b c d e f g h i j k)
       $ logs_term $ quick $ max_calls $ image_term "partitioned"
-      $ cluster_bound_term $ jobs_term $ repr_term $ budget_spec_term
-      $ fail_fast $ serve_clients $ serve_requests $ out $ trace_term)
+      $ cluster_bound_term $ jobs_term $ budget_spec_term $ fail_fast $ serve_clients $ serve_requests $ out $ trace_term)
 
 (* ----- profile ----- *)
 
@@ -1068,8 +964,7 @@ let parse_metrics_addr s =
 
 let serve_cmd =
   let run port unix_path workers metrics_addr flight_capacity flight_dump
-      queue_cap max_sessions cache_capacity repr trace =
-    let repr = resolve_repr repr in
+      queue_cap max_sessions cache_capacity trace =
     let listen =
       match unix_path with
       | Some path -> Serve.Server.Unix_path path
@@ -1089,7 +984,7 @@ let serve_cmd =
     in
     match
       Serve.Server.start ~workers ?trace:trace_sink ?metrics ~flight_capacity
-        ~flight_dump ~queue_cap ~max_sessions ~cache_capacity ~repr listen
+        ~flight_dump ~queue_cap ~max_sessions ~cache_capacity listen
     with
     | exception Unix.Unix_error (e, _, _) ->
       Printf.eprintf "error: cannot listen on %s: %s\n"
@@ -1236,22 +1131,18 @@ let serve_cmd =
               and $(b,session_open) pins a warm manager for a client \
               ($(b,--max-sessions)).  See docs/TUTORIAL.md §13.";
          ])
-    Term.(const (fun () a b c d e f g h i j k -> run a b c d e f g h i j k)
+    Term.(const (fun () a b c d e f g h i j -> run a b c d e f g h i j)
           $ logs_term $ port $ unix_path $ workers $ metrics_addr
           $ flight_capacity $ flight_dump $ queue_cap $ max_sessions
-          $ cache_capacity $ repr_term $ trace_term)
+          $ cache_capacity $ trace_term)
 
 let serve_bench_cmd =
   let run connect clients requests workers heuristic seed max_steps
-      timeout_ms explain sessions duplicate_rate repr =
+      timeout_ms explain sessions duplicate_rate =
     let connect = Option.map Serve.Client.parse_addr connect in
-    (* the default sends no repr field at all, deferring to the server *)
-    let repr =
-      match resolve_repr repr with `Bdd -> None | `Cbdd -> Some `Cbdd
-    in
     match
       Serve.Loadgen.run ~clients ~requests ?connect ?workers ~heuristic ~seed
-        ?max_steps ?timeout_ms ~explain ~sessions ~duplicate_rate ?repr ()
+        ?max_steps ?timeout_ms ~explain ~sessions ~duplicate_rate ()
     with
     | exception Unix.Unix_error (e, _, _) ->
       Printf.eprintf "error: %s\n" (Unix.error_message e);
@@ -1342,10 +1233,10 @@ let serve_bench_cmd =
               cache / session / busy counters scraped at the \
               end of the run.";
          ])
-    Term.(const (fun () a b c d e f g h i j k l -> run a b c d e f g h i j k l)
+    Term.(const (fun () a b c d e f g h i j k -> run a b c d e f g h i j k)
           $ logs_term $ connect_opt_term $ clients $ requests
           $ workers $ heuristic $ seed $ max_steps $ timeout_ms $ explain
-          $ sessions $ duplicate_rate $ repr_term)
+          $ sessions $ duplicate_rate)
 
 (* ----- serve-ctl watch: a refreshing terminal view of the registry ----- *)
 

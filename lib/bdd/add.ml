@@ -48,7 +48,7 @@ let mk man v ~hi ~lo =
 
 let ite_var man v t e = mk man v ~hi:t ~lo:e
 
-let of_bdd man bman bdd ~high ~low =
+let of_bdd man _bman bdd ~high ~low =
   let memo = Hashtbl.create 256 in
   let rec go e =
     if Core_dd.is_one e then const man high
@@ -58,8 +58,8 @@ let of_bdd man bman bdd ~high ~low =
       | Some r -> r
       | None ->
         let r =
-          mk man (Core_dd.topvar e) ~hi:(go (Core_dd.hi bman e))
-            ~lo:(go (Core_dd.lo bman e))
+          mk man (Core_dd.topvar e) ~hi:(go (Core_dd.hi e))
+            ~lo:(go (Core_dd.lo e))
         in
         Hashtbl.add memo (Core_dd.uid e) r;
         r

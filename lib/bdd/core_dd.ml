@@ -6,28 +6,6 @@
    hence two edges denote the same function iff node pointers and complement
    bits coincide.
 
-   Chain reduction (CBDD, Bryant 2018): a manager created with
-   [chain = true] additionally compresses OR-chains.  Every node carries a
-   [bot] level with [var <= bot]; a node [(t, b, h, l)] denotes
-
-     x_t \/ x_{t+1} \/ ... \/ x_{b-1} \/ (if x_b then h else l)
-
-   so a plain node is the [var = bot] special case and a linear chain of
-   [b - t] one-armed nodes collapses to a single node.  Complement edges
-   give the dual for free: a complemented chain edge is a conjunction of
-   negated literals (the don't-care chains of sparse functions and
-   cube sets).  Chain canonical form, on top of the plain invariants:
-   - [var <= bot < topvar n_hi] and [bot < topvar n_lo];
-   - for [var < bot], [n_hi != n_lo] (the redundant [(t,b,g,g)] form is
-     rewritten to [(t,b-1,one,g)]);
-   - absorption: no node has [n_hi = one] with a {e regular} [n_lo]
-     rooted exactly at level [bot + 1] — such a pair merges into the
-     longer chain [(var, bot(n_lo), hi(n_lo), lo(n_lo))].
-   Under these rules each Boolean function keeps a unique representation,
-   so hash-consed equality still decides semantic equality.  Managers
-   with [chain = false] never create [var < bot] nodes and behave exactly
-   as before.
-
    Storage layer (CUDD-style), one tier for every manager:
    - every manager is a view of a node store; a private manager is the
      only view of its own one-stripe store, a [Shared] store has many
@@ -56,16 +34,13 @@
 
 type node = {
   id : int;
-  var : int;                    (* top level; [max_int] for the terminal *)
-  bot : int;                    (* chain bottom level; [= var] when plain *)
+  var : int;                    (* level; [max_int] for the terminal *)
   n_hi : t;                     (* invariant: regular *)
   n_lo : t;
   mutable mark : bool;          (* mark-and-sweep bit; clear outside GC *)
 }
 
 and t = { neg : bool; node : node }
-
-type repr = [ `Bdd | `Cbdd ]
 
 (* Resource budgets.  A budget is installed per manager and consulted by
    the kernels exactly at their cache-missing recursion steps (where the
@@ -98,7 +73,6 @@ type budget = {
    stripe lock and never enters the barrier.  [Shared.create] builds a
    striped store that several domains attach views to. *)
 type man = {
-  chain : bool;                 (* chain-reduced (CBDD) representation *)
   mutable vars : int;
   (* computed cache: direct-mapped, parallel arrays, [min_int] = empty key *)
   mutable ck0 : int array;                        (* packed (op tag, uid a) *)
@@ -158,7 +132,6 @@ type man = {
    shared counter, and a one-stripe store numbers them 1, 2, 3, ... *)
 and shared = {
   sh_solo : bool;                                 (* one view: no locks, no barrier *)
-  sh_chain : bool;                                (* representation of every view *)
   sh_stripes : table array;                       (* length is a power of two *)
   sh_min_capacity : int;                          (* a stripe never shrinks below *)
   sh_terminal : node;
@@ -214,14 +187,12 @@ let cache_log ccap = Array.make (min 1024 (ccap / 2)) 0
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
-let make_store ~solo ~chain ~nvars ~stripes ~min_capacity =
+let make_store ~solo ~nvars ~stripes ~min_capacity =
   let rec terminal =
-    { id = 0; var = const_var; bot = const_var; n_hi = self; n_lo = self;
-      mark = false }
+    { id = 0; var = const_var; n_hi = self; n_lo = self; mark = false }
   and self = { neg = false; node = terminal } in
   {
     sh_solo = solo;
-    sh_chain = chain;
     sh_stripes =
       Array.init stripes (fun k ->
           {
@@ -271,7 +242,6 @@ let make_view ?(cache_bits = default_cache_bits)
   let nvars = Atomic.get sh.sh_vars in
   let view =
     {
-      chain = sh.sh_chain;
       vars = nvars;
       ck0 = Array.make ccap min_int;
       ck1 = Array.make ccap 0;
@@ -318,20 +288,10 @@ let make_view ?(cache_bits = default_cache_bits)
   Mutex.unlock sh.sh_lock;
   view
 
-let new_man ?(nvars = 0) ?cache_bits ?cache_budget ?auto_gc ?(chain = false)
-    () =
+let new_man ?(nvars = 0) ?cache_bits ?cache_budget ?auto_gc () =
   make_view ?cache_bits ?cache_budget ?auto_gc
-    (make_store ~solo:true ~chain ~nvars ~stripes:1
+    (make_store ~solo:true ~nvars ~stripes:1
        ~min_capacity:min_unique_capacity)
-
-let repr man : repr = if man.chain then `Cbdd else `Bdd
-
-let repr_label = function `Bdd -> "bdd" | `Cbdd -> "cbdd"
-
-let repr_of_string = function
-  | "bdd" -> Some `Bdd
-  | "cbdd" -> Some `Cbdd
-  | _ -> None
 
 (* Engine events show up as instant events in the current trace, so a GC
    run or a table resize is visible amid the spans it interrupts. *)
@@ -368,11 +328,19 @@ let topvar e = e.node.var
 let uid e = (2 * e.node.id) + Bool.to_int e.neg
 let node_id e = e.node.id
 
-let bot e = e.node.bot
+(* Cofactors push the edge's complement bit through the node. *)
+let hi e =
+  let n = e.node in
+  if n.var = const_var then e else { neg = e.neg; node = n.n_hi.node }
 
-(* Cofactors ([hi]/[lo]/[branches]) are defined after [intern]: taking
-   the else-branch of a chain node re-roots the chain one level down,
-   which interns the suffix node — they need the manager. *)
+let lo e =
+  let n = e.node in
+  if n.var = const_var then e
+  else { neg = e.neg <> n.n_lo.neg; node = n.n_lo.node }
+
+let branches e v =
+  assert (topvar e >= v);
+  if topvar e = v then (hi e, lo e) else (e, e)
 
 (* ----- computed cache ----- *)
 
@@ -467,11 +435,8 @@ let clear_caches man = cache_reset man
 
 (* ----- unique table: stripes and the stop-the-world barrier ----- *)
 
-let u_hash var bt hid luid =
-  let h =
-    (var * 0x9e3779b1) lxor (bt * 0x7feb352d) lxor (hid * 0x85ebca6b)
-    lxor (luid * 0xc2b2ae35)
-  in
+let u_hash var hid luid =
+  let h = (var * 0x9e3779b1) lxor (hid * 0x85ebca6b) lxor (luid * 0xc2b2ae35) in
   (h lxor (h lsr 15)) land max_int
 
 (* Stripe selection uses bits 30.. of the node hash; in-stripe probing
@@ -496,7 +461,7 @@ let live_count man =
 (* Insert a node known to be absent (growth and collection rebuilds). *)
 let table_insert_fresh terminal t n =
   let mask = t.mask in
-  let i = ref (u_hash n.var n.bot n.n_hi.node.id (uid n.n_lo) land mask) in
+  let i = ref (u_hash n.var n.n_hi.node.id (uid n.n_lo) land mask) in
   while t.slots.(!i) != terminal do
     i := (!i + 1) land mask
   done;
@@ -586,12 +551,12 @@ let[@inline] shared_op man k =
          r)
   end
 
-(* Find or insert [(var, bt, h, l)] in stripe [t] ([h0] is its hash); on
+(* Find or insert [(var, h, l)] in stripe [t] ([h0] is its hash); on
    a striped store the caller holds [t.lock].  A stripe about to pass 75%
    load doubles first, and a growing stripe is the GC trigger: it arms a
    collection for the next operation boundary when something is rooted
    and no view has auto-GC suspended. *)
-let table_intern sh t var bt h l h0 =
+let table_intern sh t var h l h0 =
   if (t.count + 1) * 4 > (t.mask + 1) * 3 then begin
     let old_capacity = t.mask + 1 in
     table_rebuild sh.sh_terminal t (old_capacity * 2) (fun _ -> true);
@@ -604,9 +569,7 @@ let table_intern sh t var bt h l h0 =
   let rec probe i =
     let n = t.slots.(i) in
     if n == sh.sh_terminal then begin
-      let n =
-        { id = t.next_id; var; bot = bt; n_hi = h; n_lo = l; mark = false }
-      in
+      let n = { id = t.next_id; var; n_hi = h; n_lo = l; mark = false } in
       t.next_id <- t.next_id + Array.length sh.sh_stripes;
       t.made <- t.made + 1;
       t.count <- t.count + 1;
@@ -614,9 +577,8 @@ let table_intern sh t var bt h l h0 =
       t.slots.(i) <- n;
       { neg = false; node = n }
     end
-    else if
-      n.var = var && n.bot = bt && n.n_hi.node.id = hid && uid n.n_lo = luid
-    then { neg = false; node = n }
+    else if n.var = var && n.n_hi.node.id = hid && uid n.n_lo = luid then
+      { neg = false; node = n }
     else probe ((i + 1) land mask)
   in
   probe (h0 land mask)
@@ -624,98 +586,33 @@ let table_intern sh t var bt h l h0 =
 (* Intern a node whose then-edge is already regular.  Only a striped
    store locks the stripe, and there the intern is barrier-bracketed
    (before the lock: the barrier may park): external callers (Store
-   loading, netlist synthesis, [lo] of a chain node) construct nodes
+   loading, netlist synthesis) construct nodes
    outside any public operation, and such a bare intern must not race a
    collection.  Inside kernels the bracket is already held and the
    re-entrant [op_depth] makes it two plain integer writes. *)
-let intern man var ~bot:bt ~hi:h ~lo:l =
+let intern man var ~hi:h ~lo:l =
   assert (not h.neg);
   let sh = man.store in
-  let h0 = u_hash var bt h.node.id (uid l) in
+  let h0 = u_hash var h.node.id (uid l) in
   let t = stripe_of sh h0 in
-  if sh.sh_solo then table_intern sh t var bt h l h0
+  if sh.sh_solo then table_intern sh t var h l h0
   else begin
     op_enter man;
     if not (Mutex.try_lock t.lock) then begin
       Atomic.incr sh.sh_intern_retries;
       Mutex.lock t.lock
     end;
-    let e = table_intern sh t var bt h l h0 in
+    let e = table_intern sh t var h l h0 in
     Mutex.unlock t.lock;
     op_exit man;
     e
   end
 
-(* Intern [(var, bot, h, l)] with [h] already regular, applying the
-   chain absorption rule on chain managers: a one-armed node whose
-   else-edge is a regular node rooted exactly one level below the bottom
-   swallows that node's chain, so OR-chains built one [mk] at a time by
-   the generic kernels collapse back to single nodes.  Absorption never
-   needs to recurse — the absorbed node is canonical, so its own then-arm
-   cannot trigger the rule again. *)
-let intern_canon man var ~bot:bt ~hi:h ~lo:l =
-  if
-    man.chain && is_one h && not l.neg
-    && l.node.var = bt + 1
-  then
-    let n = l.node in
-    intern man var ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
-  else intern man var ~bot:bt ~hi:h ~lo:l
-
 let mk man var ~hi:h ~lo:l =
   assert (var < topvar h && var < topvar l);
   if equal h l then h
-  else if h.neg then
-    compl (intern_canon man var ~bot:var ~hi:(compl h) ~lo:(compl l))
-  else intern_canon man var ~bot:var ~hi:h ~lo:l
-
-(* The chain [x_t \/ ... \/ x_m \/ r] as an edge ([t <= m < topvar r]).
-   On a chain manager this is one node (or an absorption into [r]'s own
-   chain); on a plain manager it is built one level at a time. *)
-let mk_or_chain man t m r =
-  assert (t <= m && m < topvar r);
-  if is_one r then r
-  else if man.chain then
-    if (not r.neg) && r.node.var = m + 1 then
-      let n = r.node in
-      intern man t ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo
-    else intern man t ~bot:m ~hi:(one man) ~lo:r
-  else begin
-    let e = ref r in
-    for i = m downto t do
-      if not (equal !e (one man)) then
-        e := intern_canon man i ~bot:i ~hi:(one man) ~lo:!e
-    done;
-    !e
-  end
-
-(* Re-root a chain edge at level [v] ([topvar e < v <= bot e]): the
-   suffix [x_v \/ ... \/ (x_b ? h : l)], with the edge's sign kept.  The
-   suffix of a canonical chain node is itself canonical. *)
-let chain_suffix man e v =
-  let n = e.node in
-  assert (n.var < v && v <= n.bot);
-  let s = intern man v ~bot:n.bot ~hi:n.n_hi ~lo:n.n_lo in
-  { neg = e.neg; node = s.node }
-
-(* Cofactors push the edge's complement bit through the node.  At the
-   top level of a chain node the then-cofactor is a constant (the OR
-   chain fires) and the else-cofactor is the re-rooted suffix. *)
-let hi man e =
-  let n = e.node in
-  if n.var = const_var then e
-  else if n.bot = n.var then { neg = e.neg; node = n.n_hi.node }
-  else { neg = e.neg; node = man.terminal }
-
-let lo man e =
-  let n = e.node in
-  if n.var = const_var then e
-  else if n.bot = n.var then { neg = e.neg <> n.n_lo.neg; node = n.n_lo.node }
-  else chain_suffix man e (n.var + 1)
-
-let branches man e v =
-  assert (topvar e >= v);
-  if topvar e = v then (hi man e, lo man e) else (e, e)
+  else if h.neg then compl (intern man var ~hi:(compl h) ~lo:(compl l))
+  else intern man var ~hi:h ~lo:l
 
 let ithvar man i =
   if i < 0 then invalid_arg "Core_dd.ithvar: negative variable";
@@ -1062,26 +959,10 @@ let rec and_rec man f g =
       budget_tick man;
       man.n_and <- man.n_and + 1;
       let v = min (topvar f) (topvar g) in
-      let r =
-        (* Chain fast path: both operands are chains rooted at [v], so
-           the shared chain prefix [X = x_v \/ ... \/ x_{m-1}] factors
-           out in one step instead of one recursion per level:
-           (X ∨ A)(X ∨ B) = X ∨ AB, and when either operand is
-           complemented the product is ¬X ∧ (A'B') = ¬(X ∨ ¬(A'B')). *)
-        let m = min f.node.bot g.node.bot in
-        if topvar f = v && topvar g = v && m > v then begin
-          let fs = chain_suffix man f m and gs = chain_suffix man g m in
-          let c = and_rec man fs gs in
-          if (not f.neg) && not g.neg then mk_or_chain man v (m - 1) c
-          else compl (mk_or_chain man v (m - 1) (compl c))
-        end
-        else begin
-          let ft, fe = branches man f v and gt, ge = branches man g v in
-          let t = and_rec man ft gt in
-          let e = and_rec man fe ge in
-          mk man v ~hi:t ~lo:e
-        end
-      in
+      let ft, fe = branches f v and gt, ge = branches g v in
+      let t = and_rec man ft gt in
+      let e = and_rec man fe ge in
+      let r = mk man v ~hi:t ~lo:e in
       cache_store man k0 k1 0 r;
       r
   end
@@ -1110,21 +991,10 @@ let rec xor_rec man f g =
         budget_tick man;
         man.n_xor <- man.n_xor + 1;
         let v = min (topvar f) (topvar g) in
-        let r =
-          (* Chain fast path (operands regular here): the shared prefix
-             cancels — (X ∨ A) ⊕ (X ∨ B) = ¬X ∧ (A ⊕ B). *)
-          let m = min f.node.bot g.node.bot in
-          if topvar f = v && topvar g = v && m > v then begin
-            let fs = chain_suffix man f m and gs = chain_suffix man g m in
-            compl (mk_or_chain man v (m - 1) (compl (xor_rec man fs gs)))
-          end
-          else begin
-            let ft, fe = branches man f v and gt, ge = branches man g v in
-            let t = xor_rec man ft gt in
-            let e = xor_rec man fe ge in
-            mk man v ~hi:t ~lo:e
-          end
-        in
+        let ft, fe = branches f v and gt, ge = branches g v in
+        let t = xor_rec man ft gt in
+        let e = xor_rec man fe ge in
+        let r = mk man v ~hi:t ~lo:e in
         cache_store man k0 k1 0 r;
         r
     in
@@ -1167,9 +1037,9 @@ and ite_aux man f g h =
     budget_tick man;
     man.n_ite <- man.n_ite + 1;
     let v = min (topvar f) (min (topvar g) (topvar h)) in
-    let ft, fe = branches man f v
-    and gt, ge = branches man g v
-    and ht, he = branches man h v in
+    let ft, fe = branches f v
+    and gt, ge = branches g v
+    and ht, he = branches h v in
     let t = ite_norm man ft gt ht in
     let e = ite_norm man fe ge he in
     let r = mk man v ~hi:t ~lo:e in
@@ -1219,12 +1089,12 @@ let cofactor man f ~var phase =
   let memo = Hashtbl.create 64 in
   let rec go f =
     if topvar f > var then f
-    else if topvar f = var then if phase then hi man f else lo man f
+    else if topvar f = var then if phase then hi f else lo f
     else
       match Hashtbl.find_opt memo (uid f) with
       | Some r -> r
       | None ->
-        let r = mk man (topvar f) ~hi:(go (hi man f)) ~lo:(go (lo man f)) in
+        let r = mk man (topvar f) ~hi:(go (hi f)) ~lo:(go (lo f)) in
         Hashtbl.add memo (uid f) r;
         r
   in
@@ -1284,14 +1154,6 @@ let interned_sets man = man.next_iarr
    intermediates. *)
 let quantify_rec man tag combine vars suffix i0 f0 =
   let nv = Array.length vars in
-  (* [x_v] is a chain-OR level of [f]'s root ([t < v < b]): dropping the
-     literal leaves the rest of the chain, [x_t../x_{v-1} \/ x_{v+1}.. \/
-     (x_b ? h : l)], as a regular function. *)
-  let drop_chain_level f v =
-    let n = f.node in
-    let s = chain_suffix man { neg = false; node = n } (v + 1) in
-    mk_or_chain man n.var (v - 1) s
-  in
   let rec go i f =
     if i >= nv then f
     else if is_const f then f
@@ -1304,23 +1166,11 @@ let quantify_rec man tag combine vars suffix i0 f0 =
         budget_tick man;
         man.n_quantify <- man.n_quantify + 1;
         let v = vars.(i) in
+        let i' = if topvar f = v then i + 1 else i in
+        let t = go i' (hi f) and e = go i' (lo f) in
         let r =
-          if v > topvar f && v < f.node.bot then
-            (* Chain fast path: [x_v] sits strictly inside the root's OR
-               chain.  A regular edge is [X ∨ A]: exists gives [one]
-               (set [x_v]), forall drops the literal.  A complemented
-               edge is [¬x.. ∧ ¬A]: exists drops the literal, forall
-               gives [zero]. *)
-            if tag = tag_forall then
-              if f.neg then zero man else go (i + 1) (drop_chain_level f v)
-            else if f.neg then go (i + 1) (compl (drop_chain_level f v))
-            else one man
-          else begin
-            let i' = if topvar f = v then i + 1 else i in
-            let t = go i' (hi man f) and e = go i' (lo man f) in
-            if topvar f = v then combine man t e
-            else mk man (topvar f) ~hi:t ~lo:e
-          end
+          if topvar f = v then combine man t e
+          else mk man (topvar f) ~hi:t ~lo:e
         in
         cache_store man k0 k1 0 r;
         r
@@ -1367,7 +1217,7 @@ let and_exists man vars f g =
         | None ->
           budget_tick man;
           man.n_and_exists <- man.n_and_exists + 1;
-          let ft, fe = branches man f top and gt, ge = branches man g top in
+          let ft, fe = branches f top and gt, ge = branches g top in
           let i' = if top = vars.(i) then i + 1 else i in
           let r =
             if top = vars.(i) then or_rec man (go i' ft gt) (go i' fe ge)
@@ -1421,7 +1271,7 @@ let vector_compose man f subs =
             | Some g -> g
             | None -> ithvar man v
           in
-          let r = ite_norm man test (go (hi man f)) (go (lo man f)) in
+          let r = ite_norm man test (go (hi f)) (go (lo f)) in
           cache_store man k0 sid 0 r;
           r
     in
@@ -1444,7 +1294,7 @@ let rec constrain_rec man f c =
       budget_tick man;
       man.n_constrain <- man.n_constrain + 1;
       let v = min (topvar f) (topvar c) in
-      let ft, fe = branches man f v and ct, ce = branches man c v in
+      let ft, fe = branches f v and ct, ce = branches c v in
       let r =
         if is_zero ce then constrain_rec man ft ct
         else if is_zero ct then constrain_rec man fe ce
@@ -1471,9 +1321,9 @@ let rec restrict_rec man f c =
       man.n_restrict <- man.n_restrict + 1;
       let fv = topvar f and cv = topvar c in
       let r =
-        if cv < fv then restrict_rec man f (or_rec man (hi man c) (lo man c))
+        if cv < fv then restrict_rec man f (or_rec man (hi c) (lo c))
         else
-          let ft, fe = branches man f fv and ct, ce = branches man c fv in
+          let ft, fe = branches f fv and ct, ce = branches c fv in
           if is_zero ce then restrict_rec man ft ct
           else if is_zero ct then restrict_rec man fe ce
           else
@@ -1492,7 +1342,7 @@ let restrict man f c =
 
 module Itbl = Hashtbl.Make (Int)
 
-(* The one node walker: [k] sees every physical node reachable from [fs]
+(* The one node walker: [k] sees every node reachable from [fs]
    once, terminal included, depth-first with then before else. *)
 let walk fs k =
   let seen = Itbl.create 64 in
@@ -1517,27 +1367,16 @@ let shared_size _man fs =
 
 let size man f = shared_size man [ f ]
 
-(* Every chain level is in the support: [h = one, l = one] chains are
-   forbidden by canonical form, so flipping any chained variable always
-   changes the function's value somewhere. *)
 let support _man f =
   let vars = Itbl.create 16 in
   walk [ f ] (fun n ->
-      if n.var <> const_var then
-        for v = n.var to n.bot do
-          Itbl.replace vars v ()
-        done);
+      if n.var <> const_var then Itbl.replace vars n.var ());
   List.sort compare (Itbl.fold (fun v () acc -> v :: acc) vars [])
 
 let eval f assign =
-  let rec chain_hit v b = v < b && (assign v || chain_hit (v + 1) b) in
   let rec go e =
     if is_const e then not e.neg
-    else
-      let n = e.node in
-      if chain_hit n.var n.bot then not e.neg
-      else if assign n.bot then go { neg = e.neg; node = n.n_hi.node }
-      else go { neg = e.neg <> n.n_lo.neg; node = n.n_lo.node }
+    else go (if assign e.node.var then hi e else lo e)
   in
   go f
 
@@ -1567,21 +1406,7 @@ let sat_count man f ~nvars =
       match Hashtbl.find_opt memo (uid e) with
       | Some d -> d
       | None ->
-        let n = e.node in
-        let h = { neg = e.neg; node = n.n_hi.node }
-        and l = { neg = e.neg <> n.n_lo.neg; node = n.n_lo.node } in
-        let db = 0.5 *. (density h +. density l) in
-        (* [m] chained levels scale the branch density: a regular chain
-           edge is [X ∨ A] with P = 1 - 2^-m + 2^-m P(A); a complemented
-           one is [¬X ∧ ¬A] with P = 2^-m P(¬A) — and [db] already
-           carries the sign. *)
-        let m = n.bot - n.var in
-        let d =
-          if m = 0 then db
-          else
-            let p = Float.ldexp 1.0 (-m) in
-            if e.neg then p *. db else (1.0 -. p) +. (p *. db)
-        in
+        let d = 0.5 *. (density (hi e) +. density (lo e)) in
         Hashtbl.add memo (uid e) d;
         d
   in
@@ -1596,51 +1421,6 @@ let count_below man f level =
   let n = ref 0 in
   iter_nodes man f (fun _ v -> if v > level then incr n);
   !n
-
-(* ----- Size metrics ----- *)
-
-(* The single entry point for size accounting.  [nodes] is the physical
-   (representation-dependent) count, [chain_nodes] counts how many of
-   those are compressed chains, and [plain_equivalent] is the size the
-   same function has as a plain BDD — the representation-independent
-   metric the minimization verdicts are judged on.
-
-   [plain_equivalent] is exact: expanding a chain node [(t,b,h,l)] into
-   plain form creates one virtual node per level [i] in [t..b], each
-   fully determined by the key [(i, b, id h, uid l)] — distinct chain
-   nodes sharing a tail share the corresponding virtual nodes, and a
-   virtual node at level [b] coincides with a physical plain node
-   [(b,h,l)] when one exists, so keys are deduplicated globally. *)
-module Metric = struct
-  let shared_nodes = shared_size
-  let nodes = size
-
-  let shared_chain_nodes _man fs =
-    let count = ref 0 in
-    walk fs (fun n -> if n.var <> const_var && n.bot > n.var then incr count);
-    !count
-
-  let chain_nodes man f = shared_chain_nodes man [ f ]
-
-  (* On a plain manager every node has [var = bot] and is its own key,
-     so the expansion below would just recount the physical nodes (an
-     empty list still counts the terminal, so it takes the long way). *)
-  let shared_plain_equivalent man fs =
-    if (not man.chain) && fs <> [] then shared_nodes man fs
-    else begin
-      let keys = Hashtbl.create 64 in
-      walk fs (fun n ->
-          if n.var <> const_var then begin
-            let hid = n.n_hi.node.id and luid = uid n.n_lo in
-            for i = n.var to n.bot do
-              Hashtbl.replace keys (i, n.bot, hid, luid) ()
-            done
-          end);
-      Hashtbl.length keys + 1 (* the terminal *)
-    end
-
-  let plain_equivalent man f = shared_plain_equivalent man [ f ]
-end
 
 (* ----- Statistics ----- *)
 
@@ -1775,7 +1555,7 @@ let stats man =
     s.Stats.gc_runs s.Stats.gc_reclaimed
 
 (* Structural audit of the manager's store: every stored node satisfies
-   the canonical-form invariants, no (var, bot, then, else) key appears
+   the canonical-form invariants, no (var, then, else) key appears
    twice anywhere in the store, and every stripe's live count matches
    its slots.  Returns the live node count. *)
 let self_check man =
@@ -1792,20 +1572,11 @@ let self_check man =
             if n != sh.sh_terminal then begin
               incr count;
               if n.n_hi.neg then fail "complemented then-edge";
-              if n.var > n.bot then fail "bot above var";
-              if (not sh.sh_chain) && n.bot > n.var then
-                fail "chain node in a plain store";
-              if n.bot >= n.n_hi.node.var || n.bot >= n.n_lo.node.var then
+              if n.var >= n.n_hi.node.var || n.var >= n.n_lo.node.var then
                 fail "level order violated";
               if n.n_hi.node == n.n_lo.node && n.n_hi.neg = n.n_lo.neg then
                 fail "redundant node";
-              if
-                sh.sh_chain
-                && n.n_hi.node.var = const_var && not n.n_hi.neg
-                && (not n.n_lo.neg)
-                && n.n_lo.node.var = n.bot + 1
-              then fail "unabsorbed chain";
-              let key = (n.var, n.bot, n.n_hi.node.id, uid n.n_lo) in
+              let key = (n.var, n.n_hi.node.id, uid n.n_lo) in
               if Hashtbl.mem seen key then fail "duplicate node (canonicity)";
               Hashtbl.add seen key ()
             end)
@@ -1835,9 +1606,9 @@ module Shared = struct
     barrier_wait_ns : int;
   }
 
-  let create ?(stripes = 64) ?(repr : repr = `Bdd) () =
+  let create ?(stripes = 64) () =
     if stripes < 1 then invalid_arg "Shared.create: stripes";
-    make_store ~solo:false ~chain:(repr = `Cbdd) ~nvars:0
+    make_store ~solo:false ~nvars:0
       ~stripes:(min 1024 (next_pow2 stripes 1))
       ~min_capacity:min_stripe_capacity
 

@@ -9,18 +9,8 @@
 
     Variables are identified by integer {e levels}: variable [0] is the
     topmost variable of the order, larger levels sit deeper.  The order is
-    fixed for the lifetime of a manager, as in the paper.
-
-    Managers come in two representations (see {!repr}): plain BDDs, and
-    chain-reduced BDDs (CBDDs, after Bryant's chain reduction) where a
-    node carries a [(top, bottom)] level pair encoding the OR-chain
-    [x_top \/ ... \/ x_{bottom-1} \/ (x_bottom ? hi : lo)] in a single
-    node — the long one-armed chains of sparse functions and cube sets
-    collapse to O(1) nodes.  Complement edges give the dual
-    (conjunctions of negated literals) for free.  Both representations
-    are canonical, so [equal] decides semantic equality in either; all
-    operations work uniformly on both.  Prefer creating managers through
-    [Bdd.create ~repr] rather than {!new_man}. *)
+    fixed for the lifetime of a manager, as in the paper.  Prefer
+    creating managers through [Bdd.create] rather than {!new_man}. *)
 
 type man
 (** A BDD manager: a view of a node store.  The store holds the unique
@@ -44,25 +34,19 @@ type t
 (** An edge (a possibly complemented pointer to a node).  Two edges of the
     same manager represent the same function iff they are [equal]. *)
 
-type repr = [ `Bdd | `Cbdd ]
-(** The node representation of a manager: plain BDDs, or chain-reduced
-    BDDs ([`Cbdd]). *)
-
 val new_man :
   ?nvars:int ->
   ?cache_bits:int ->
   ?cache_budget:int ->
   ?auto_gc:bool ->
-  ?chain:bool ->
   unit ->
   man
 (** [new_man ()] creates a fresh manager.  [nvars] merely preallocates the
     variable count; variables are created on demand by {!ithvar}.
 
-    {b Deprecated entry point}: prefer [Bdd.create], which selects the
-    representation with [~repr], installs budgets, and names the cache byte budget consistently.  [new_man]
-    remains for low-level use; [chain] (default [false]) selects the
-    chain-reduced representation directly.
+    {b Deprecated entry point}: prefer [Bdd.create], which also installs
+    budgets and names the cache byte budget consistently.  [new_man]
+    remains for low-level use.
 
     [cache_bits] is the log2 of the initial computed-cache capacity
     (default 15, i.e. 32768 entries; clamped to [1, 24]).  The cache is
@@ -75,15 +59,6 @@ val new_man :
     operation boundaries once the unique table has grown — but only when
     at least one external reference is registered (see {!ref_}), since
     otherwise every node would be swept. *)
-
-val repr : man -> repr
-(** The manager's node representation. *)
-
-val repr_label : repr -> string
-(** ["bdd"] or ["cbdd"] — the stable wire/CLI spelling. *)
-
-val repr_of_string : string -> repr option
-(** Inverse of {!repr_label}. *)
 
 val nvars : man -> int
 (** Number of variables created so far. *)
@@ -321,27 +296,20 @@ val is_compl_pair : t -> t -> bool
 val topvar : t -> int
 (** Level of the root variable; [max_int] for constants. *)
 
-val bot : t -> int
-(** Bottom level of the root node's chain; equals {!topvar} on plain
-    nodes (always, on a [`Bdd] manager) and [max_int] for constants. *)
-
 val const_var : int
 (** The pseudo-level of the terminal node ([max_int]). *)
 
-val hi : man -> t -> t
-(** Then-cofactor of the root with respect to its {e top} variable
+val hi : t -> t
+(** Then-cofactor of the root with respect to its top variable
     (complement bit of the edge pushed through).  For a constant, the
-    edge itself.  On a chain node this is a constant — setting the top
-    variable satisfies the OR chain.  Takes the manager because the
-    else-cofactor of a chain node re-roots (interns) the chain suffix. *)
+    edge itself. *)
 
-val lo : man -> t -> t
+val lo : t -> t
 (** Else-cofactor of the root with respect to its top variable,
-    likewise.  On a chain node this is the chain shortened by one
-    level. *)
+    likewise. *)
 
-val branches : man -> t -> int -> t * t
-(** [branches man f v] is the paper's [bdd_get_branches]: [(then, else)]
+val branches : t -> int -> t * t
+(** [branches f v] is the paper's [bdd_get_branches]: [(then, else)]
     cofactors of [f] with respect to variable [v] when [topvar f = v], and
     [(f, f)] when [f] is independent of [v] (i.e. [topvar f > v]).
     Requires [topvar f >= v]. *)
@@ -456,10 +424,8 @@ val restrict : man -> t -> t -> t
 (** {1 Inspection} *)
 
 val size : man -> t -> int
-(** Number of distinct {e physical} nodes reachable from the edge,
-    {e including} the terminal node — the paper's [|f|] on a plain
-    manager, the chain-compressed count on a [`Cbdd] one ( =
-    {!Metric.nodes}).  [size] of a constant is 1. *)
+(** Number of distinct nodes reachable from the edge, {e including} the
+    terminal node — the paper's [|f|].  [size] of a constant is 1. *)
 
 val shared_size : man -> t list -> int
 (** Node count of the shared DAG of several functions (terminal included
@@ -480,36 +446,7 @@ val sat_count : man -> t -> nvars:int -> float
 
 val iter_nodes : man -> t -> (int -> int -> unit) -> unit
 (** [iter_nodes man f k] calls [k node_id var] once per reachable
-    physical node, terminal included (with [var = const_var]).  On a
-    chain node [var] is the {e top} level. *)
-
-(** {1 Size metrics}
-
-    The single entry point for size accounting: every table, CSV and
-    JSON size column should come from here.  On a plain manager all
-    three metrics coincide with {!size}. *)
-module Metric : sig
-  val nodes : man -> t -> int
-  (** Physical (representation-dependent) node count, terminal included;
-      always equals {!size}. *)
-
-  val chain_nodes : man -> t -> int
-  (** How many of those physical nodes are compressed chains
-      ([bot > var]); [0] on a plain manager. *)
-
-  val plain_equivalent : man -> t -> int
-  (** The node count the same function has as a {e plain} BDD — the
-      representation-independent metric minimization verdicts are judged
-      on.  Exact: chain nodes are expanded into virtual plain nodes and
-      deduplicated globally (shared chain tails and coincident physical
-      nodes are counted once). *)
-
-  val shared_nodes : man -> t list -> int
-  val shared_chain_nodes : man -> t list -> int
-
-  val shared_plain_equivalent : man -> t list -> int
-  (** The same three metrics over the shared DAG of several functions. *)
-end
+    node, terminal included (with [var = const_var]). *)
 
 val nodes_at_level : man -> t -> int -> int
 (** Number of distinct nodes rooted at the given level. *)
@@ -522,9 +459,9 @@ val count_below : man -> t -> int -> int
 
 val self_check : man -> int
 (** Audit the manager's node store: canonical-form invariants on every
-    interned node, store-wide uniqueness of [(var, bot, then, else)]
-    keys, and each stripe's live count against its slots.  On a view of
-    a {!Shared.store} this audits the whole store; on a private manager,
+    interned node, store-wide uniqueness of [(var, then, else)] keys,
+    and each stripe's live count against its slots.  On a view of a
+    {!Shared.store} this audits the whole store; on a private manager,
     its own table.  Returns the live node count (terminal excluded).
     Takes every stripe lock in turn; meant for tests and invariant
     checks.  @raise Failure on any violation. *)
@@ -582,12 +519,11 @@ module Shared : sig
   (** A shared node store.  Thread-safe; create once, attach a view per
       worker domain. *)
 
-  val create : ?stripes:int -> ?repr:repr -> unit -> store
+  val create : ?stripes:int -> unit -> store
   (** [create ()] builds an empty store.  [stripes] (default 64, rounded
       up to a power of two, clamped to [1, 1024]) is the unique-table
       stripe count: each stripe is an independently locked and
-      independently grown open-addressed table.  [repr] (default
-      [`Bdd]) fixes the node representation of every view. *)
+      independently grown open-addressed table. *)
 
   val attach : store -> man
   (** Attach a fresh view for the calling domain, with a computed cache

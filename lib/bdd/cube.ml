@@ -9,13 +9,13 @@ let of_cube man c =
   in
   List.fold_left add (Core_dd.one man) c
 
-let to_cube man f =
+let to_cube _man f =
   let rec go acc f =
     if Core_dd.is_one f then Some (List.rev acc)
     else if Core_dd.is_zero f then None
     else
       let v = Core_dd.topvar f in
-      let t = Core_dd.hi man f and e = Core_dd.lo man f in
+      let t = Core_dd.hi f and e = Core_dd.lo f in
       if Core_dd.is_zero e then go ((v, true) :: acc) t
       else if Core_dd.is_zero t then go ((v, false) :: acc) e
       else None
@@ -26,7 +26,7 @@ let is_cube man f = to_cube man f <> None
 
 exception Stop
 
-let iter_cubes ?limit man f k =
+let iter_cubes ?limit _man f k =
   let remaining = ref (match limit with Some n -> n | None -> max_int) in
   let rec go acc f =
     if Core_dd.is_one f then begin
@@ -36,8 +36,8 @@ let iter_cubes ?limit man f k =
     end
     else if not (Core_dd.is_zero f) then begin
       let v = Core_dd.topvar f in
-      go ((v, true) :: acc) (Core_dd.hi man f);
-      go ((v, false) :: acc) (Core_dd.lo man f)
+      go ((v, true) :: acc) (Core_dd.hi f);
+      go ((v, false) :: acc) (Core_dd.lo f)
     end
   in
   match limit with
@@ -77,7 +77,7 @@ let short_cube man f =
             | Some (n, lits) -> Some (n + 1, (v, phase) :: lits)
           in
           let r =
-            match (via true (Core_dd.hi man f), via false (Core_dd.lo man f)) with
+            match (via true (Core_dd.hi f), via false (Core_dd.lo f)) with
             | (Some (a, la), Some (b, lb)) ->
               if a <= b then Some (a, la) else Some (b, lb)
             | (Some r, None) | (None, Some r) -> Some r

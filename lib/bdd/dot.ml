@@ -1,6 +1,6 @@
 let is_neg f = Core_dd.uid f land 1 = 1
 
-let to_dot ?(name = "bdd") ?(var_name = fun v -> Printf.sprintf "x%d" v) man
+let to_dot ?(name = "bdd") ?(var_name = fun v -> Printf.sprintf "x%d" v) _man
     roots =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -19,7 +19,7 @@ let to_dot ?(name = "bdd") ?(var_name = fun v -> Printf.sprintf "x%d" v) man
       Hashtbl.add seen id ();
       pr "  n%d [label=\"%s\"];\n" id (var_name (Core_dd.topvar f));
       let reg = if is_neg f then Core_dd.compl f else f in
-      let hi = Core_dd.hi man reg and lo = Core_dd.lo man reg in
+      let hi = Core_dd.hi reg and lo = Core_dd.lo reg in
       edges :=
         (id, Core_dd.node_id hi, false, is_neg hi)
         :: (id, Core_dd.node_id lo, true, is_neg lo)

@@ -32,7 +32,7 @@ let rebuild_into target man ~placement fs =
       | Some r -> r
       | None ->
         let v = Core_dd.topvar e in
-        let t = go (Core_dd.hi man e) and l = go (Core_dd.lo man e) in
+        let t = go (Core_dd.hi e) and l = go (Core_dd.lo e) in
         let r = Core_dd.ite target (Core_dd.ithvar target placement.(v)) t l in
         Core_dd.ref_ target r;
         rooted := r :: !rooted;
@@ -45,9 +45,7 @@ let rebuild_into target man ~placement fs =
   out
 
 let rebuild man ~placement fs =
-  (* The rebuilt manager keeps the source representation: a chain
-     manager's functions re-absorb into chains under the new order. *)
-  let target = Core_dd.new_man ~chain:(Core_dd.repr man = `Cbdd) () in
+  let target = Core_dd.new_man () in
   (target, rebuild_into target man ~placement fs)
 
 let shared_size_under man ~placement fs =

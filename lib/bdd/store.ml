@@ -15,7 +15,7 @@ let root_name_roundtrips name =
           (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r')
           name)
 
-let save man roots =
+let save _man roots =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "bdd 1\n";
   let emitted = Hashtbl.create 64 in
@@ -25,10 +25,7 @@ let save man roots =
     let id = Core_dd.node_id e in
     if id <> 0 && not (Hashtbl.mem emitted id) then begin
       let reg = if is_complemented e then Core_dd.compl e else e in
-      (* Chain nodes serialize through their cofactors: the lo cofactor
-         of a chain is its interned one-level-shorter suffix, so the
-         "bdd 1" format stays representation-agnostic. *)
-      let hi = Core_dd.hi man reg and lo = Core_dd.lo man reg in
+      let hi = Core_dd.hi reg and lo = Core_dd.lo reg in
       visit hi;
       visit lo;
       Hashtbl.add emitted id ();

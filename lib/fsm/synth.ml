@@ -1,5 +1,4 @@
 type shared = {
-  man : Bdd.man;
   builder : Netlist.builder;
   var_signal : int -> Netlist.signal;
   (* node id -> signal computing the node's REGULAR function *)
@@ -8,9 +7,8 @@ type shared = {
   compl_memo : (int, Netlist.signal) Hashtbl.t;
 }
 
-let make_shared man builder ~var_signal =
+let make_shared _man builder ~var_signal =
   {
-    man;
     builder;
     var_signal;
     memo = Hashtbl.create 64;
@@ -29,8 +27,8 @@ let rec node_signal ctx e =
     | Some s -> s
     | None ->
       let v = Bdd.topvar reg in
-      let t1 = shared_signal ctx (Bdd.hi ctx.man reg) in
-      let e0 = shared_signal ctx (Bdd.lo ctx.man reg) in
+      let t1 = shared_signal ctx (Bdd.hi reg) in
+      let e0 = shared_signal ctx (Bdd.lo reg) in
       let s = Netlist.mux ctx.builder ~sel:(ctx.var_signal v) ~t1 ~e0 in
       Hashtbl.add ctx.memo id s;
       s

@@ -15,10 +15,9 @@ val signal_of_bdd :
   Bdd.t ->
   Netlist.signal
 (** Build gates computing the function of the BDD inside the given
-    builder; [var_signal] maps BDD levels to driver signals (the
-    manager is needed to expand chain nodes into their per-level
-    cofactors).  Nodes shared inside one call are shared structurally;
-    pass the same memo across calls with {!make_shared}. *)
+    builder; [var_signal] maps BDD levels to driver signals.  Nodes
+    shared inside one call are shared structurally; pass the same memo
+    across calls with {!make_shared}. *)
 
 type shared
 (** A synthesis context sharing gates across several {!shared_signal}

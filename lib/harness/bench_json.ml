@@ -19,28 +19,6 @@ let num f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
 let opt_int = function None -> "null" | Some i -> string_of_int i
 let opt_num = function None -> "null" | Some f -> num f
 
-(* CBDD ablation: the quick capture suite re-run under `Cbdd, compared
-   against the plain run of the same workload. *)
-type cbdd_stats = {
-  cbdd_calls : int;
-  cbdd_plain_total : int;
-  cbdd_chain_total : int;
-  cbdd_seconds : float;
-  cbdd_verdicts_identical : bool;
-}
-
-let cbdd_row = function
-  | None -> "null"
-  | Some a ->
-    Printf.sprintf
-      "{\"calls\":%d,\"plain_total\":%d,\"chain_total\":%d,\
-       \"compression\":%s,\"seconds\":%s,\"verdicts_identical\":%b}"
-      a.cbdd_calls a.cbdd_plain_total a.cbdd_chain_total
-      (num
-         (if a.cbdd_chain_total = 0 then 1.0
-          else float_of_int a.cbdd_plain_total /. float_of_int a.cbdd_chain_total))
-      (num a.cbdd_seconds) a.cbdd_verdicts_identical
-
 let telemetry_row = function
   | None -> "null"
   | Some (t : Serve.Loadgen.telemetry) ->
@@ -74,8 +52,7 @@ let serve_row = function
       s.partial s.busy s.errors (telemetry_row s.telemetry)
       (server_row s.server)
 
-let render ?serve ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
-    ~max_calls ~image ~limits ~benches ~capture_seconds ~phases ~names
+let render ?serve ~jobs ~quick ~max_calls ~image ~limits ~benches ~capture_seconds ~phases ~names
     ~(engine : Bdd.Stats.t) ~dnf (calls : Capture.call list) =
   let minimizer_rows =
     List.map
@@ -85,11 +62,6 @@ let render ?serve ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
            List.fold_left
              (fun acc (c : Capture.call) ->
                 acc + Option.value (pick c.sizes) ~default:0)
-             0 calls
-         and total_chain_size =
-           List.fold_left
-             (fun acc (c : Capture.call) ->
-                acc + Option.value (pick c.chain_sizes) ~default:0)
              0 calls
          and total_seconds =
            List.fold_left
@@ -110,9 +82,9 @@ let render ?serve ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
            | hs -> List.fold_left ( +. ) 0.0 hs /. float_of_int (List.length hs)
          in
          Printf.sprintf
-           "{\"name\":\"%s\",\"total_size\":%d,\"total_chain_size\":%d,\
-            \"total_seconds\":%s,\"mean_hit_rate\":%s,\"dnf_calls\":%d}"
-           (escape name) total_size total_chain_size (num total_seconds)
+           "{\"name\":\"%s\",\"total_size\":%d,\"total_seconds\":%s,\
+            \"mean_hit_rate\":%s,\"dnf_calls\":%d}"
+           (escape name) total_size (num total_seconds)
            (num mean_hit_rate) dnf_calls)
       names
   in
@@ -165,8 +137,7 @@ let render ?serve ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
   in
   Printf.sprintf
     "{\n\
-    \  \"schema\": \"bddmin-bench-engine/10\",\n\
-    \  \"repr\": \"%s\",\n\
+    \  \"schema\": \"bddmin-bench-engine/11\",\n\
     \  \"jobs\": %d,\n\
     \  \"quick\": %b,\n\
     \  \"max_calls\": %d,\n\
@@ -177,21 +148,20 @@ let render ?serve ?cbdd ?(repr : Bdd.repr = `Bdd) ~jobs ~quick
     \  \"phases\": [%s],\n\
     \  \"minimizers\": [%s],\n\
     \  \"serve\": %s,\n\
-    \  \"cbdd\": %s,\n\
     \  \"engine\": %s\n\
      }\n"
-    (Bdd.repr_label repr) jobs quick max_calls (escape image) limits_row
+    jobs quick max_calls (escape image) limits_row
     benches (List.length calls)
     (num capture_seconds)
     (String.concat ", " dnf_rows)
     (String.concat ", " phase_rows)
     (String.concat ", " minimizer_rows)
-    (serve_row serve) (cbdd_row cbdd) engine_row
+    (serve_row serve) engine_row
 
-let write ?serve ?cbdd ?repr ~path ~jobs ~quick ~max_calls ~image
-    ~limits ~benches ~capture_seconds ~phases ~names ~engine ~dnf calls =
+let write ?serve ~path ~jobs ~quick ~max_calls ~image ~limits ~benches
+    ~capture_seconds ~phases ~names ~engine ~dnf calls =
   let doc =
-    render ?serve ?cbdd ?repr ~jobs ~quick ~max_calls ~image ~limits
+    render ?serve ~jobs ~quick ~max_calls ~image ~limits
       ~benches ~capture_seconds ~phases ~names ~engine ~dnf calls
   in
   let oc = open_out path in

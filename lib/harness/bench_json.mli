@@ -1,11 +1,10 @@
 (** The machine-readable benchmark record ([BENCH_engine.json]).
 
-    One JSON document per benchmark run, schema ["bddmin-bench-engine/10"],
+    One JSON document per benchmark run, schema ["bddmin-bench-engine/11"],
     with every key always present:
 
     {v
-    schema       string  "bddmin-bench-engine/10"
-    repr         string  "bdd" | "cbdd" — node representation of the run
+    schema       string  "bddmin-bench-engine/11"
     jobs         int     worker domains used for the capture suite
     quick        bool    small sub-suite?
     max_calls    int     per-benchmark cap on measured calls
@@ -15,18 +14,13 @@
     suite        { benches, calls, capture_seconds }
     dnf          [ { bench, reason } ]   benchmarks whose driver DNF'd
     phases       [ { name, seconds } ]   wall time, execution order
-    minimizers   [ { name, total_size, total_chain_size, total_seconds,
-                     mean_hit_rate, dnf_calls } ]
+    minimizers   [ { name, total_size, total_seconds, mean_hit_rate,
+                     dnf_calls } ]
     serve        { clients, requests, workers, seconds, requests_per_sec,
                    p50_ms, p95_ms, p99_ms, mean_ms, ok_replies,
                    dnf_replies, partial_replies, busy_replies,
                    error_replies, telemetry, server }
                  or null when the serve phase was skipped
-    cbdd         { calls, plain_total, chain_total, compression, seconds,
-                   verdicts_identical }
-                 — the CBDD ablation row (the quick suite re-captured
-                 under the chain-reduced representation, compared to
-                 the plain run) — or null when that phase was skipped
     engine       Bdd.Stats.t counters (summed over the suite's managers)
     v}
 
@@ -60,34 +54,22 @@
     workload ([null] when that phase is disabled); [/8] added the
     top-level [repr] field, the per-minimizer [total_chain_size]
     column (physical nodes — equal to [total_size] under ["bdd"]) and
-    the [cbdd] ablation section; [/9] dropped the two batch counters
+    the chain-reduction ablation section; [/9] dropped the two batch counters
     from the serve [server] object, since the daemon no longer batches
     requests; [/10] dropped the [parallel] section — the shared-store
     tier's bit-identity and telemetry are checked by the test suite,
     and its timing is measured by the repo benchmark's verify
-    workload.
+    workload; [/11] dropped the top-level [repr] field, the
+    per-minimizer [total_chain_size] column and the chain-reduction
+    ablation section, since plain ROBDDs are the only node
+    representation.
 
     The document is a record of one run, written by [bddmin bench];
     performance comparisons across changes belong to the repo
     benchmark ([benchmark/]), which repeats runs and reports spread. *)
 
-type cbdd_stats = {
-  cbdd_calls : int;  (** measured calls of the ablation capture *)
-  cbdd_plain_total : int;
-      (** total plain-equivalent [min] size over the ablation's calls *)
-  cbdd_chain_total : int;
-      (** total chain-aware (physical) [min] size over the same calls *)
-  cbdd_seconds : float;  (** ablation capture wall time *)
-  cbdd_verdicts_identical : bool;
-      (** per-call [min_size]/[min_name] verdicts matched the plain run *)
-}
-(** The [cbdd] ablation section; [compression] is derived
-    (plain/chain). *)
-
 val render :
   ?serve:Serve.Loadgen.stats ->
-  ?cbdd:cbdd_stats ->
-  ?repr:Bdd.repr ->
   jobs:int ->
   quick:bool ->
   max_calls:int ->
@@ -104,13 +86,10 @@ val render :
 (** Render the document.  [names] selects and orders the [minimizers]
     rows; [engine] and [dnf] are typically {!Capture.run_suite_stats}'s
     summed statistics and driver-exhaustion rows.  Non-finite floats
-    render as JSON [null]; an omitted [serve] or [cbdd] renders as
-    [null]. *)
+    render as JSON [null]; an omitted [serve] renders as [null]. *)
 
 val write :
   ?serve:Serve.Loadgen.stats ->
-  ?cbdd:cbdd_stats ->
-  ?repr:Bdd.repr ->
   path:string ->
   jobs:int ->
   quick:bool ->

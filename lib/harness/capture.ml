@@ -72,7 +72,6 @@ let default_config =
   }
 
 let with_entries entries c = { c with engine = { c.engine with entries } }
-let with_repr repr c = { c with engine = { c.engine with repr } }
 
 let with_lower_bound_cubes lower_bound_cubes c =
   { c with engine = { c.engine with lower_bound_cubes } }
@@ -149,7 +148,7 @@ let measure_call config ?cancelled man ~bench ~iteration ~origin
       if Obs.Trace.enabled () then begin
         let d get = get s1 - get s0 in
         Obs.Trace.add sp "result_nodes"
-          (Obs.Trace.Int (Bdd.Metric.nodes man (fst r)));
+          (Obs.Trace.Int (Bdd.size man (fst r)));
         Obs.Trace.add sp "cache_lookups"
           (Obs.Trace.Int (d (fun s -> s.Bdd.Stats.cache_lookups)));
         Obs.Trace.add sp "cache_hits"
@@ -181,16 +180,7 @@ let measure_call config ?cancelled man ~bench ~iteration ~origin
             if lookups = 0 then 0.0
             else float_of_int hits /. float_of_int lookups
           in
-          (* Verdicts anchor on the representation-independent plain
-             size (identical covers rank identically under either
-             repr); the physical node count rides along so chain
-             compression is visible without changing any winner. *)
-          Ok
-            ( e.name,
-              Bdd.Metric.plain_equivalent man g,
-              Bdd.Metric.nodes man g,
-              dt,
-              hit_rate ))
+          Ok (e.name, Bdd.size man g, dt, hit_rate))
   in
   let results = List.map run_entry config.engine.entries in
   let completed =
@@ -208,25 +198,27 @@ let measure_call config ?cancelled man ~bench ~iteration ~origin
   | _ ->
     let min_name, min_size =
       List.fold_left
-        (fun (bn, bs) (n, s, _, _, _) -> if s < bs then (n, s) else (bn, bs))
+        (fun (bn, bs) (n, s, _, _) -> if s < bs then (n, s) else (bn, bs))
         ("", max_int) completed
     in
     let low_bd =
       Minimize.Lower_bound.compute man
         ~cube_limit:config.engine.lower_bound_cubes inst
     in
+    let f_size = Bdd.size man inst.Minimize.Ispec.f in
+    let sizes = List.map (fun (n, s, _, _) -> (n, s)) completed in
     Some
       {
         bench;
         iteration;
         origin;
-        f_size = Bdd.Metric.plain_equivalent man inst.Minimize.Ispec.f;
-        f_chain_size = Bdd.Metric.nodes man inst.Minimize.Ispec.f;
+        f_size;
+        f_chain_size = f_size;
         c_onset_fraction = Minimize.Ispec.c_onset_fraction man inst;
-        sizes = List.map (fun (n, s, _, _, _) -> (n, s)) completed;
-        chain_sizes = List.map (fun (n, _, cs, _, _) -> (n, cs)) completed;
-        times = List.map (fun (n, _, _, t, _) -> (n, t)) completed;
-        hit_rates = List.map (fun (n, _, _, _, h) -> (n, h)) completed;
+        sizes;
+        chain_sizes = sizes;
+        times = List.map (fun (n, _, t, _) -> (n, t)) completed;
+        hit_rates = List.map (fun (n, _, _, h) -> (n, h)) completed;
         dnf;
         min_size;
         min_name;
@@ -242,7 +234,7 @@ type bench_result = {
 
 let run_bench_stats ?(config = default_config) ?cancel
     (b : Circuits.Registry.bench) =
-  let man = Bdd.create ~repr:config.engine.repr () in
+  let man = Bdd.create () in
   let cancelled =
     Option.map (fun t () -> Exec.Cancel.cancelled t) cancel
   in

@@ -27,19 +27,16 @@ type call = {
   bench : string;
   iteration : int;
   origin : origin;
-  f_size : int;
-  (** [|f|], the unminimized function, as a plain-BDD node count
-      ({!Bdd.Metric.plain_equivalent}) — representation-independent *)
+  f_size : int;  (** [|f|], the unminimized function's node count *)
   f_chain_size : int;
-  (** physical node count of [f] ({!Bdd.Metric.nodes}); equals [f_size]
-      under [`Bdd], smaller under [`Cbdd] when chains compress *)
+  (** a plain stand-in kept for the benchmark's callers: always
+      [f_size] *)
   c_onset_fraction : float;  (** the paper's [c_onset_size], in [0, 1] *)
   sizes : (string * int) list;
-  (** result size per minimizer that completed within budget, as
-      plain-equivalent node counts, so verdicts and rankings are
-      identical across representations *)
+  (** result node count per minimizer that completed within budget *)
   chain_sizes : (string * int) list;
-  (** physical (chain-aware) node count per completed minimizer *)
+  (** a plain stand-in kept for the benchmark's callers: always
+      [sizes] *)
   times : (string * float) list;  (** seconds per completed minimizer *)
   hit_rates : (string * float) list;
   (** computed-cache hit rate ([0, 1]) observed while each minimizer ran
@@ -69,9 +66,8 @@ type call = {
 type engine_config = {
   entries : Minimize.Registry.entry list;
   repr : Bdd.repr;
-  (** node representation of every benchmark manager (default [`Bdd]);
-      under [`Cbdd] the [sizes]/[min] columns are unchanged (they are
-      plain-equivalent counts) while [chain_sizes] shrinks *)
+  (** a plain stand-in kept for the benchmark's callers: always
+      [`Bdd] *)
   lower_bound_cubes : int;
   self_product : bool;
   (** intercept inside the product-machine self-equivalence check (the
@@ -134,7 +130,6 @@ val default_config : config
 (** {2 Builders} *)
 
 val with_entries : Minimize.Registry.entry list -> config -> config
-val with_repr : Bdd.repr -> config -> config
 val with_lower_bound_cubes : int -> config -> config
 val with_self_product : bool -> config -> config
 val with_jobs : int -> config -> config

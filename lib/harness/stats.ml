@@ -49,24 +49,6 @@ let size_of (c : Capture.call) name =
   | None ->
     invalid_arg ("Stats.size_of: minimizer did not finish: " ^ name)
 
-let chain_size_opt (c : Capture.call) name =
-  List.assoc_opt name c.chain_sizes
-
-(* Plain vs chain-aware totals per minimizer — the dual size columns.
-   Both sums run over exactly the calls the minimizer completed, so the
-   pair is directly comparable row by row. *)
-let chain_totals ~names calls =
-  List.map
-    (fun name ->
-       List.fold_left
-         (fun (plain, chain) c ->
-            match (size_opt c name, chain_size_opt c name) with
-            | Some s, Some cs -> (plain + s, chain + cs)
-            | _ -> (plain, chain))
-         (0, 0) calls
-       |> fun (plain, chain) -> (name, plain, chain))
-    names
-
 let time_of (c : Capture.call) name =
   match List.assoc_opt name c.times with Some t -> t | None -> 0.0
 

@@ -44,17 +44,6 @@ val size_opt : Capture.call -> string -> int option
 val dnf_of : Capture.call -> string -> bool
 (** Whether the named minimizer exhausted its budget on this call. *)
 
-val chain_size_opt : Capture.call -> string -> int option
-(** Physical (chain-aware) node count of a minimizer's result on a call
-    ({!Bdd.Metric.nodes}); [None] when the call has no completed row
-    under that name. *)
-
-val chain_totals :
-  names:string list -> Capture.call list -> (string * int * int) list
-(** Per minimizer, [(name, plain_total, chain_total)] summed over the
-    calls it completed — the dual size columns.  Equal components under
-    [`Bdd]; [chain_total <= plain_total] under [`Cbdd]. *)
-
 val head_to_head : names:string list -> Capture.call list -> float array array
 (** Entry [(i, j)]: percentage of calls where minimizer [i]'s result is
     strictly smaller than [j]'s (the paper's Table 4). *)

@@ -206,21 +206,6 @@ let render_figure3 ?(names = default_fig3) calls =
   bprintf buf "(* = overlap)\n";
   Buffer.contents buf
 
-(* Dual size columns: plain-equivalent vs chain-aware totals.  Only
-   meaningful (and only rendered by callers) under `Cbdd — the plain
-   pipeline's output stays byte-identical to the chain-free harness. *)
-let render_chain_summary ~names calls =
-  let buf = Buffer.create 1024 in
-  bprintf buf
-    "Chain-reduction summary (plain-equivalent vs chain-aware nodes):\n\n";
-  bprintf buf "  %-8s %12s %12s %9s\n" "Heur." "Plain" "Chain" "ratio";
-  List.iter
-    (fun (name, plain, chain) ->
-       bprintf buf "  %-8s %12d %12d %8.2fx\n" name plain chain
-         (if chain = 0 then 1.0 else float_of_int plain /. float_of_int chain))
-    (Stats.chain_totals ~names calls);
-  Buffer.contents buf
-
 let render_lower_bound_summary ~names calls =
   let buf = Buffer.create 1024 in
   let t = Stats.aggregate ~names Stats.All calls in

@@ -34,13 +34,6 @@ val render_per_bench :
     [DNF(reason)] line per exhausted machine, as in the paper's
     resource-limited tables. *)
 
-val render_chain_summary : names:string list -> Capture.call list -> string
-(** Dual size columns: per minimizer, the plain-equivalent total
-    ({!Bdd.Metric.plain_equivalent}, what every verdict is judged on)
-    next to the chain-aware physical total ({!Bdd.Metric.nodes}) and
-    their compression ratio.  Callers render it only for [`Cbdd]
-    captures, keeping plain output byte-identical. *)
-
 val render_lower_bound_summary : names:string list -> Capture.call list -> string
 (** The §4.2 lower-bound observations: min vs. bound ratio, and the
     percentage of calls where each heuristic meets the bound. *)

@@ -15,7 +15,7 @@ let of_interval man ~lower ~upper =
       | Some r -> r
       | None ->
         let v = min (Bdd.topvar l) (Bdd.topvar u) in
-        let l1, l0 = Bdd.branches man l v and u1, u0 = Bdd.branches man u v in
+        let l1, l0 = Bdd.branches l v and u1, u0 = Bdd.branches u v in
         (* Minterms that can only be covered with the ¬v literal, resp. v. *)
         let lneg = Bdd.diff man l0 u1 in
         let lpos = Bdd.diff man l1 u0 in
@@ -59,7 +59,7 @@ let cover_only man (s : Ispec.t) =
       | Some r -> r
       | None ->
         let v = min (Bdd.topvar l) (Bdd.topvar u) in
-        let l1, l0 = Bdd.branches man l v and u1, u0 = Bdd.branches man u v in
+        let l1, l0 = Bdd.branches l v and u1, u0 = Bdd.branches u v in
         let f0 = go (Bdd.diff man l0 u1) u0 in
         let f1 = go (Bdd.diff man l1 u0) u1 in
         let ld = Bdd.dor man (Bdd.diff man l0 f0) (Bdd.diff man l1 f1) in

@@ -29,7 +29,7 @@ let gather man ~level ~only_rooted_at_next (s : Ispec.t) =
           out := (Ispec.make ~f ~c, List.rev path) :: !out
       end
       else begin
-        let ft, fe = Bdd.branches man f top and ct, ce = Bdd.branches man c top in
+        let ft, fe = Bdd.branches f top and ct, ce = Bdd.branches c top in
         go ft ct ((top, true) :: path);
         go fe ce ((top, false) :: path)
       end
@@ -176,7 +176,7 @@ let rebuild man ~level subst (s : Ispec.t) =
       match Hashtbl.find_opt memo key with
       | Some r -> r
       | None ->
-        let ft, fe = Bdd.branches man f top and ct, ce = Bdd.branches man c top in
+        let ft, fe = Bdd.branches f top and ct, ce = Bdd.branches c top in
         let tf, tc = go ft ct in
         let ef, ec = go fe ce in
         let v = Bdd.ithvar man top in

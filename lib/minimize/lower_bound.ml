@@ -6,9 +6,7 @@ let witness man ?(cube_limit = 1000) ?(include_short_cube = true)
   let best_cube = ref [] in
   let try_cube cube =
     let p = Bdd.Cube.of_cube man cube in
-    let sz =
-      Bdd.Metric.plain_equivalent man (Bdd.constrain man s.Ispec.f p)
-    in
+    let sz = Bdd.size man (Bdd.constrain man s.Ispec.f p) in
     if sz > !best then begin
       best := sz;
       best_cube := cube

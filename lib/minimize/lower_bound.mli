@@ -10,9 +10,7 @@ val compute :
 (** [compute man s] enumerates up to [cube_limit] (default 1000) cubes of
     [s.c] in DFS order — plus, when [include_short_cube] (default [true]),
     one cube with the fewest literals, following the paper's suggestion to
-    also look for large cubes — and returns the largest [|constrain f p|],
-    counted with {!Bdd.Metric.plain_equivalent} like every size it bounds,
-    so the bound is the same on plain and chain-reduced managers.
+    also look for large cubes — and returns the largest [|constrain f p|].
     Requires [s.c ≠ 0]. *)
 
 val witness :

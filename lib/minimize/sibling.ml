@@ -99,7 +99,7 @@ let run man cfg (s : Ispec.t) =
         incr recursions;
         let fid = Bdd.topvar f and cid = Bdd.topvar c in
         let top = min fid cid in
-        let ft, fe = Bdd.branches man f top and ct, ce = Bdd.branches man c top in
+        let ft, fe = Bdd.branches f top and ct, ce = Bdd.branches c top in
         let r =
           if cfg.no_new_vars && fid > cid then
             go (depth + 1) f (Bdd.dor man ct ce)
@@ -164,7 +164,7 @@ let transform_window man cfg ~lo ~hi (s : Ispec.t) =
         | Some r -> r
         | None ->
           incr recursions;
-          let ft, fe = Bdd.branches man f top and ct, ce = Bdd.branches man c top in
+          let ft, fe = Bdd.branches f top and ct, ce = Bdd.branches c top in
           let rebuild () =
             let tf, tc = go (depth + 1) ft ct in
             let ef, ec = go (depth + 1) fe ce in

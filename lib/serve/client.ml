@@ -64,13 +64,7 @@ let request c ?budget ?trace ?explain fields =
 let budget_json ?max_nodes ?max_steps ?timeout_ms () =
   Protocol.render_budget ?max_nodes ?max_steps ?timeout_ms ()
 
-(* An omitted [?repr] sends no field at all, leaving the choice to the
-   server's default. *)
-let repr_fields = function
-  | None -> []
-  | Some r -> [ ("repr", Json.Str (Bdd.repr_label r)) ]
-
-let minimize c ?max_nodes ?max_steps ?timeout_ms ?(heuristic = "sched") ?repr
+let minimize c ?max_nodes ?max_steps ?timeout_ms ?(heuristic = "sched")
     ?trace ?explain source =
   let budget = budget_json ?max_nodes ?max_steps ?timeout_ms () in
   let source_field =
@@ -80,17 +74,14 @@ let minimize c ?max_nodes ?max_steps ?timeout_ms ?(heuristic = "sched") ?repr
     | Protocol.Session_ref sid -> ("session", Json.Str sid)
   in
   request c ?budget ?trace ?explain
-    ([ ("op", Json.Str "minimize"); source_field;
-       ("heuristic", Json.Str heuristic) ]
-     @ repr_fields repr)
+    [ ("op", Json.Str "minimize"); source_field;
+      ("heuristic", Json.Str heuristic) ]
 
 (* Open a warm-manager session over [text] (Store format); the returned
    session id feeds [minimize (Session_ref sid)]. *)
-let session_open c ?repr text =
+let session_open c text =
   match
-    request c
-      ([ ("op", Json.Str "session_open"); ("bdd", Json.Str text) ]
-       @ repr_fields repr)
+    request c [ ("op", Json.Str "session_open"); ("bdd", Json.Str text) ]
   with
   | Error _ as e -> e
   | Ok r when r.Protocol.status = "ok" -> begin
@@ -110,20 +101,18 @@ let machine_fields ~bench ~blif = function
   | Protocol.Bench name -> (bench, Json.Str name)
   | Protocol.Blif_text text -> (blif, Json.Str text)
 
-let reach c ?max_nodes ?max_steps ?timeout_ms ?repr machine =
+let reach c ?max_nodes ?max_steps ?timeout_ms machine =
   let budget = budget_json ?max_nodes ?max_steps ?timeout_ms () in
   request c ?budget
-    ([ ("op", Json.Str "reach");
-       machine_fields ~bench:"bench" ~blif:"blif" machine ]
-     @ repr_fields repr)
+    [ ("op", Json.Str "reach");
+      machine_fields ~bench:"bench" ~blif:"blif" machine ]
 
-let equiv c ?max_nodes ?max_steps ?timeout_ms ?repr a b =
+let equiv c ?max_nodes ?max_steps ?timeout_ms a b =
   let budget = budget_json ?max_nodes ?max_steps ?timeout_ms () in
   request c ?budget
-    ([ ("op", Json.Str "equiv");
-       machine_fields ~bench:"bench1" ~blif:"blif1" a;
-       machine_fields ~bench:"bench2" ~blif:"blif2" b ]
-     @ repr_fields repr)
+    [ ("op", Json.Str "equiv");
+      machine_fields ~bench:"bench1" ~blif:"blif1" a;
+      machine_fields ~bench:"bench2" ~blif:"blif2" b ]
 
 let ping c = request c [ ("op", Json.Str "ping") ]
 let metrics c = request c [ ("op", Json.Str "metrics") ]

@@ -125,7 +125,7 @@ let scrape_server_counters addr =
 
 let run ?(clients = 4) ?(requests = 100) ?connect ?workers
     ?(heuristic = "sched") ?(nvars = 12) ?(seed = 1) ?max_steps ?timeout_ms
-    ?(explain = false) ?(sessions = false) ?(duplicate_rate = 0.0) ?repr () =
+    ?(explain = false) ?(sessions = false) ?(duplicate_rate = 0.0) () =
   if clients < 1 then invalid_arg "Serve.Loadgen.run: clients must be >= 1";
   if requests < 0 then invalid_arg "Serve.Loadgen.run: negative requests";
   if duplicate_rate < 0.0 || duplicate_rate > 1.0 then
@@ -142,7 +142,7 @@ let run ?(clients = 4) ?(requests = 100) ?connect ?workers
       in
       let path = Filename.temp_file "bddmin-serve" ".sock" in
       Sys.remove path;
-      let srv = Server.start ~workers ?repr (Server.Unix_path path) in
+      let srv = Server.start ~workers (Server.Unix_path path) in
       (Some srv, Client.Unix_path path, workers)
   in
   let per_client k =
@@ -171,9 +171,7 @@ let run ?(clients = 4) ?(requests = 100) ?connect ?workers
     let session =
       if not sessions then None
       else
-        match
-          Client.session_open c ?repr payloads.(k mod Array.length payloads)
-        with
+        match Client.session_open c payloads.(k mod Array.length payloads) with
         | Ok (`Session sid) -> Some sid
         | Error _ ->
           (* fall back to sessionless so the run still completes *)
@@ -193,8 +191,7 @@ let run ?(clients = 4) ?(requests = 100) ?connect ?workers
       in
       let t0 = Obs.Clock.now_ns () in
       let r =
-        Client.minimize c ~heuristic ?max_steps ?timeout_ms ?repr ~explain
-          source
+        Client.minimize c ~heuristic ?max_steps ?timeout_ms ~explain source
       in
       lat.(j) <-
         Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0) /. 1e6;

@@ -28,11 +28,8 @@
    queue counts against the request, and an expired request dies on its
    first kernel call (see the Budget entry-point poll).
 
-   An optional "repr": "bdd" | "cbdd" field selects the node
-   representation of the manager answering the request (defaulting to
-   the server's [--repr]); under "cbdd" minimize replies carry an
-   additional "chain_size" next to the representation-independent
-   "size".
+   An optional "repr" field may only be "bdd": plain ROBDDs are the one
+   node representation served, and any other value is an error reply.
 
    Two optional telemetry fields ride on any request:
 
@@ -150,10 +147,6 @@ type request = {
   id : int;
   op : op;
   budget : budget_spec;
-  repr : Bdd.repr option;
-      (** requested node representation ("repr": "bdd" | "cbdd");
-          [None] = the server's default.  Folded into result-cache keys
-          because chain-aware reply sizes differ between reprs. *)
   trace : trace_spec option;
   explain : bool;
 }
@@ -232,15 +225,14 @@ let parse_request payload =
     in
     Result.bind
       (match Json.mem "repr" j with
-       | None | Some Json.Null -> Ok None
-       | Some (Json.Str s) -> begin
-           match Bdd.repr_of_string s with
-           | Some r -> Ok (Some r)
-           | None -> Error (Printf.sprintf "unknown repr %S" s)
-         end
-       | Some _ -> Error "repr must be \"bdd\" or \"cbdd\"")
-    @@ fun repr ->
-    let finish op = Ok { id; op; budget; repr; trace; explain } in
+       | None | Some Json.Null | Some (Json.Str "bdd") -> Ok ()
+       | Some r ->
+         Error
+           (Printf.sprintf
+              "unknown repr %s: \"bdd\" is the only representation served"
+              (Json.print r)))
+    @@ fun () ->
+    let finish op = Ok { id; op; budget; trace; explain } in
     (match Json.string_field "op" j with
      | None -> Error "missing op"
      | Some "ping" -> finish Ping
@@ -297,14 +289,9 @@ let render_budget ?max_nodes ?max_steps ?timeout_ms () =
 let render_trace { trace_id; sampled } =
   Json.Obj [ ("id", Json.Str trace_id); ("sampled", Json.Bool sampled) ]
 
-let render_request ~id ?budget ?repr ?trace ?(explain = false) fields =
+let render_request ~id ?budget ?trace ?(explain = false) fields =
   let budget_field =
     match budget with None -> [] | Some b -> [ ("budget", b) ]
-  in
-  let repr_field =
-    match repr with
-    | None -> []
-    | Some r -> [ ("repr", Json.Str (Bdd.repr_label r)) ]
   in
   let trace_field =
     match trace with None -> [] | Some t -> [ ("trace", render_trace t) ]
@@ -315,7 +302,7 @@ let render_request ~id ?budget ?repr ?trace ?(explain = false) fields =
   Json.print
     (Json.Obj
        (("id", Json.int id)
-        :: fields @ repr_field @ trace_field @ explain_field @ budget_field))
+        :: fields @ trace_field @ explain_field @ budget_field))
 
 (* ----- replies ----- *)
 

@@ -211,7 +211,6 @@ type t = {
   sessions : Session.t;
   cache : Cache.t option;
   queue_cap : int;  (* 0 = unbounded *)
-  default_repr : Bdd.repr;  (* for requests without a "repr" field *)
   stop_flag : bool Atomic.t;
   in_flight : int Atomic.t;
   admitted : int Atomic.t;  (* enqueued, not started *)
@@ -313,16 +312,9 @@ let machine_key = function
 
 (* The raw-payload cache key, computed at admission (before any
    interning).  Session ops and session-backed minimizes are never
-   cached — the warm-manager path is the point of a session.
-   [default_repr] is the server's; a chain-reduced run keys separately
-   because its minimize replies carry the extra [chain_size] field. *)
-let cache_key_of ~default_repr (req : Protocol.request) =
-  let bclass =
-    let b = budget_class req.budget in
-    match Option.value req.Protocol.repr ~default:default_repr with
-    | `Bdd -> b
-    | `Cbdd -> b ^ "/cbdd"
-  in
+   cached — the warm-manager path is the point of a session. *)
+let cache_key_of (req : Protocol.request) =
+  let bclass = budget_class req.budget in
   match req.op with
   | Protocol.Minimize { source = Protocol.Store_text text; heuristic } ->
     Some (key_of ~kind:"minimize" ~extra:heuristic ~bclass ~payload:text)
@@ -462,20 +454,12 @@ let run_heuristic ctx ~heuristic spec =
            heuristic names)
     | Some entry -> (heuristic, Minimize.Registry.run entry ctx spec)
 
-(* [size] and [input_size] are plain-equivalent node counts, so
-   verdicts agree between representations; a chain-reduced manager
-   additionally reports the physical [chain_size].  Plain replies carry
-   no extra field and stay byte-identical to a plain-only server. *)
 let minimize_result man ~name ~cover spec =
   Json.Obj
-    ([ ("heuristic", Json.Str name);
-       ("size", Json.int (Bdd.Metric.plain_equivalent man cover));
-       ("input_size",
-        Json.int (Bdd.Metric.plain_equivalent man spec.Minimize.Ispec.f)) ]
-     @ (match Bdd.repr man with
-        | `Bdd -> []
-        | `Cbdd -> [ ("chain_size", Json.int (Bdd.Metric.nodes man cover)) ])
-     @ [ ("cover", Json.Str (Bdd.Store.save man [ ("g", cover) ])) ])
+    [ ("heuristic", Json.Str name);
+      ("size", Json.int (Bdd.size man cover));
+      ("input_size", Json.int (Bdd.size man spec.Minimize.Ispec.f));
+      ("cover", Json.Str (Bdd.Store.save man [ ("g", cover) ])) ]
 
 (* Minimize against a warm session manager.  Owner-checked; the session
    lock serializes manager access across workers (managers have no
@@ -509,13 +493,12 @@ let handle_session_minimize srv conn tx ~explain budget_spec ~sid ~heuristic =
    a differently-formatted upload of a function already served returns
    without running the minimizer — and (b) left in [tx.canonical_key]
    so the result is stored under both the raw and canonical keys. *)
-let handle_minimize srv ~repr conn tx ~explain budget_spec ~source
-    ~heuristic =
+let handle_minimize srv conn tx ~explain budget_spec ~source ~heuristic =
   match source with
   | Protocol.Session_ref sid ->
     handle_session_minimize srv conn tx ~explain budget_spec ~sid ~heuristic
   | Protocol.Store_text _ | Protocol.Pla_text _ ->
-    let man = Bdd.create ~repr () in
+    let man = Bdd.create () in
     (match load_ispec man source with
      | Error msg -> Error msg
      | Ok spec ->
@@ -527,14 +510,9 @@ let handle_minimize srv ~repr conn tx ~explain budget_spec ~source
              Bdd.Store.save man
                [ ("f", spec.Minimize.Ispec.f); ("c", spec.Minimize.Ispec.c) ]
            in
-           let bclass =
-             match repr with
-             | `Bdd -> budget_class budget_spec
-             | `Cbdd -> budget_class budget_spec ^ "/cbdd"
-           in
            let ckey =
-             key_of ~kind:"minimize@canon" ~extra:heuristic ~bclass
-               ~payload:canonical
+             key_of ~kind:"minimize@canon" ~extra:heuristic
+               ~bclass:(budget_class budget_spec) ~payload:canonical
            in
            tx.canonical_key <- Some ckey;
            Cache.find cache ckey
@@ -552,8 +530,8 @@ let handle_minimize srv ~repr conn tx ~explain budget_spec ~source
           let name, cover = run_heuristic ctx ~heuristic spec in
           Ok (minimize_result man ~name ~cover spec)))
 
-let handle_session_open srv conn ~repr ~bdd =
-  match Session.open_ srv.sessions ~owner:conn.id ~repr ~text:bdd with
+let handle_session_open srv conn ~bdd =
+  match Session.open_ srv.sessions ~owner:conn.id ~text:bdd with
   | Error msg -> Error msg
   | Ok s ->
     Obs.Metrics.inc (Obs.Metrics.labels srv.m.M.session_events [ "opened" ]);
@@ -586,11 +564,11 @@ let reach_result (stats : Fsm.Reach.stats) =
       ("reached_states", Json.Num stats.reached_states);
       ("minimization_calls", Json.int stats.minimization_calls) ]
 
-let handle_reach conn tx ~explain ~id ~repr budget_spec machine =
+let handle_reach conn tx ~explain ~id budget_spec machine =
   match netlist_of machine with
   | Error msg -> Error (Protocol.error_reply ~id msg)
   | Ok nl ->
-    let man = Bdd.create ~repr () in
+    let man = Bdd.create () in
     let budget = make_budget conn budget_spec in
     with_engine_telemetry tx ~explain man budget @@ fun () ->
     let sym = Fsm.Symbolic.of_netlist man nl in
@@ -602,11 +580,11 @@ let handle_reach conn tx ~explain ~id ~repr budget_spec machine =
      | Fsm.Reach.Partial { reason; _ } ->
        Ok (Protocol.partial_reply ~id reason (reach_result stats)))
 
-let handle_equiv conn tx ~explain ~repr budget_spec a b =
+let handle_equiv conn tx ~explain budget_spec a b =
   match netlist_of a, netlist_of b with
   | Error msg, _ | _, Error msg -> Error msg
   | Ok na, Ok nb ->
-    let man = Bdd.create ~repr () in
+    let man = Bdd.create () in
     let budget = make_budget conn budget_spec in
     with_engine_telemetry tx ~explain man budget @@ fun () ->
     let verdict =
@@ -894,30 +872,28 @@ let run_item srv (p : pending) =
       canonical_key = None; cache_note = None }
   in
   let explain = req.explain in
-  let repr = Option.value req.Protocol.repr ~default:srv.default_repr in
   let reply =
     try
       match req.op with
       | Protocol.Minimize { source; heuristic } -> begin
           match
-            handle_minimize srv ~repr conn tx ~explain req.budget ~source
-              ~heuristic
+            handle_minimize srv conn tx ~explain req.budget ~source ~heuristic
           with
           | Ok result -> Protocol.ok_reply ~id result
           | Error msg -> Protocol.error_reply ~id msg
         end
       | Protocol.Reach machine -> begin
-          match handle_reach conn tx ~explain ~id ~repr req.budget machine with
+          match handle_reach conn tx ~explain ~id req.budget machine with
           | Ok reply -> reply
           | Error reply -> reply
         end
       | Protocol.Equiv (a, b) -> begin
-          match handle_equiv conn tx ~explain ~repr req.budget a b with
+          match handle_equiv conn tx ~explain req.budget a b with
           | Ok result -> Protocol.ok_reply ~id result
           | Error msg -> Protocol.error_reply ~id msg
         end
       | Protocol.Session_open { bdd } -> begin
-          match handle_session_open srv conn ~repr ~bdd with
+          match handle_session_open srv conn ~bdd with
           | Ok result -> Protocol.ok_reply ~id result
           | Error msg -> Protocol.error_reply ~id msg
         end
@@ -1058,7 +1034,7 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
   let raw_key =
     match srv.cache with
     | None -> None
-    | Some _ -> cache_key_of ~default_repr:srv.default_repr req
+    | Some _ -> cache_key_of req
   in
   let cached =
     match raw_key, srv.cache with
@@ -1350,7 +1326,7 @@ let metrics_loop srv fd unix_path =
 
 let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
     ?(flight_capacity = 256) ?flight_dump ?(queue_cap = 512)
-    ?(max_sessions = 64) ?(cache_capacity = 1024) ?(repr = `Bdd) listen =
+    ?(max_sessions = 64) ?(cache_capacity = 1024) listen =
   if workers < 1 then invalid_arg "Serve.Server.start: workers must be >= 1";
   if queue_cap < 0 then invalid_arg "Serve.Server.start: queue_cap must be >= 0";
   (* a client vanishing mid-reply must not kill the daemon *)
@@ -1393,7 +1369,6 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       sessions;
       cache;
       queue_cap;
-      default_repr = repr;
       stop_flag = Atomic.make false;
       in_flight = Atomic.make 0;
       admitted = Atomic.make 0;
@@ -1416,9 +1391,8 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
     }
   in
   Log.info (fun k ->
-      k "serving on %s (%d workers, queue cap %d, cache %d, repr %s%s)"
+      k "serving on %s (%d workers, queue cap %d, cache %d%s)"
         address workers queue_cap cache_capacity
-        (Bdd.repr_label repr)
         (match metrics_address with
          | Some a -> Printf.sprintf ", metrics on %s" a
          | None -> ""));

@@ -81,9 +81,9 @@ let evict_lru_locked t =
    intern runs {e outside} the registry lock — it is the expensive part
    and must not serialize unrelated opens.  Evicted session ids are
    reported through [on_evict] after the lock drops. *)
-let open_ t ~owner ~repr ~text =
+let open_ t ~owner ~text =
   match
-    let man = Bdd.create ~repr () in
+    let man = Bdd.create () in
     (man, Bdd.Store.load man text)
   with
   | _, Error msg -> Error ("bad bdd payload: " ^ msg)

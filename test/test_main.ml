@@ -8,7 +8,6 @@ let suites =
     ("logic", Test_logic.suite);
     ("pla", Test_pla.suite);
     ("reorder", Test_reorder.suite);
-    ("cbdd", Test_cbdd.suite);
     ("store", Test_store.suite);
     ("zdd", Test_zdd.suite);
     ("add", Test_add.suite);

@@ -212,7 +212,7 @@ let stress_build view d =
       let again =
         Bdd.ite view
           (Bdd.ithvar view (Bdd.topvar next))
-          (Bdd.hi view next) (Bdd.lo view next)
+          (Bdd.hi next) (Bdd.lo next)
       in
       if not (Bdd.equal again next) then incr stale
     end;

@@ -230,6 +230,27 @@ let serve_error_replies () =
   | Ok { P.status = "ok"; _ } -> ()
   | _ -> Alcotest.fail "connection unusable after errors"
 
+(* Plain ROBDDs are the only representation served: an explicit
+   "repr":"bdd" is a normal request, any other value an error reply
+   naming "bdd", after which the connection still serves. *)
+let serve_repr_field () =
+  with_server @@ fun _srv addr ->
+  let c = C.connect addr in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let minimize repr =
+    C.request c
+      [ ("op", J.Str "minimize"); ("bdd", J.Str payload);
+        ("heuristic", J.Str "sched"); ("repr", J.Str repr) ]
+  in
+  ignore (expect_ok "repr bdd" (minimize "bdd"));
+  (match minimize "cbdd" with
+   | Ok { P.status = "error"; message = Some m; _ } ->
+     Util.checkb "names the one representation served"
+       (Util.contains m "\"bdd\"")
+   | _ -> Alcotest.fail "repr cbdd must be an error reply");
+  ignore (expect_ok "plain minimize after the error"
+            (C.minimize c (P.Store_text payload)))
+
 let serve_reach_equiv () =
   with_server @@ fun _srv addr ->
   let c = C.connect addr in
@@ -598,21 +619,20 @@ let serve_sessions () =
 (* ----- differential replay: served verdicts equal offline ones ----- *)
 
 (* One minimize of a replayed stream: what was sent and under which
-   budget and representation. *)
+   budget. *)
 type replay = {
   text : string;
   heuristic : string;
-  repr : Bdd.repr;
   max_nodes : int option;
   max_steps : int option;
 }
 
-(* The offline run of [r]: a fresh manager of its representation with
-   the payload loaded, the heuristic run under the same budget.  Also
+(* The offline run of [r]: a fresh manager with the payload loaded,
+   the heuristic run under the same budget.  Also
    returns the run's peak live node count, so a stream can place node
    budgets around it. *)
 let offline_run r =
-  let man = Bdd.create ~repr:r.repr () in
+  let man = Bdd.create () in
   let spec =
     match Bdd.Store.load man r.text with
     | Ok roots ->
@@ -625,7 +645,7 @@ let offline_run r =
   in
   let verdict =
     match Minimize.Registry.run entry (Minimize.Ctx.make ~budget man) spec with
-    | cover -> `Ok (Bdd.Metric.plain_equivalent man cover)
+    | cover -> `Ok (Bdd.size man cover)
     | exception Bdd.Budget_exhausted _ -> `Dnf
   in
   (verdict, (Bdd.snapshot man).Bdd.Stats.peak_live_nodes)
@@ -643,7 +663,7 @@ let show_verdict = function
   | `Dnf -> "dnf"
 
 let show_replay r =
-  Printf.sprintf "%s/%s nodes=%s steps=%s" r.heuristic (Bdd.repr_label r.repr)
+  Printf.sprintf "%s nodes=%s steps=%s" r.heuristic
     (match r.max_nodes with Some n -> string_of_int n | None -> "-")
     (match r.max_steps with Some n -> string_of_int n | None -> "-")
 
@@ -655,13 +675,13 @@ let check_offline what r verdict =
 
 let send_replay fd ~id r =
   P.write_frame fd
-    (P.render_request ~id ~repr:r.repr
+    (P.render_request ~id
        ?budget:(P.render_budget ?max_nodes:r.max_nodes ?max_steps:r.max_steps ())
        [ ("op", J.Str "minimize"); ("bdd", J.Str r.text);
          ("heuristic", J.Str r.heuristic) ])
 
-(* A seeded stream over a few small payloads: every heuristic and
-   representation, no budget, node budgets just below, at and well
+(* A seeded stream over a few small payloads: every heuristic, no
+   budget, node budgets just below, at and well
    above the request's own offline peak, and step budgets; a third of
    the items repeat an earlier one exactly. *)
 let replay_stream ~seed ~length =
@@ -675,7 +695,6 @@ let replay_stream ~seed ~length =
     let r =
       { text = pick payloads;
         heuristic = pick [ "sched"; "osm_bt"; "tsm_td"; "restr" ];
-        repr = pick [ `Bdd; `Cbdd ];
         max_nodes = None; max_steps = None }
     in
     match Random.State.int rng 3 with
@@ -703,12 +722,10 @@ let serve_differential_replay () =
      an already-served instance, answered from the canonical entry. *)
   let stream = replay_stream ~seed:14 ~length:36 in
   let has p = List.exists p stream in
-  Util.checkb "stream mixes heuristics, reprs, budgets and verdicts"
+  Util.checkb "stream mixes heuristics, budgets and verdicts"
     (List.for_all
        (fun h -> has (fun r -> r.heuristic = h))
        [ "sched"; "osm_bt"; "tsm_td"; "restr" ]
-     && has (fun r -> r.repr = `Bdd)
-     && has (fun r -> r.repr = `Cbdd)
      && has (fun r -> r.max_nodes = None && r.max_steps = None)
      && has (fun r -> r.max_nodes <> None)
      && has (fun r -> r.max_steps <> None)
@@ -740,27 +757,22 @@ let serve_differential_replay () =
     (sub_field m "cache" "hits" + sub_field m "cache" "collapsed" >= 1);
   Util.checkb "reformatted upload answered from the canonical entry"
     (sub_field m "cache" "canonical_hits" >= 1);
-  (* unbudgeted minimizes against warm sessions *)
+  (* unbudgeted minimizes against a warm session *)
   let c = C.connect addr in
   Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
-  List.iteri
-    (fun k repr ->
-       let text = Serve.Loadgen.build_payload ~nvars:7 ~seed:(600 + k) in
-       let sid =
-         match C.session_open c ~repr text with
-         | Ok (`Session sid) -> sid
-         | Error msg -> Alcotest.failf "session_open: %s" msg
-       in
-       List.iter
-         (fun heuristic ->
-            let r =
-              { text; heuristic; repr; max_nodes = None; max_steps = None }
-            in
-            match C.minimize c ~heuristic (P.Session_ref sid) with
-            | Ok reply -> check_offline "session minimize" r (served_verdict reply)
-            | Error msg -> Alcotest.failf "transport error %s" msg)
-         [ "sched"; "osm_bt"; "tsm_td"; "restr"; "sched" ])
-    [ `Bdd; `Cbdd ]
+  let text = Serve.Loadgen.build_payload ~nvars:7 ~seed:600 in
+  let sid =
+    match C.session_open c text with
+    | Ok (`Session sid) -> sid
+    | Error msg -> Alcotest.failf "session_open: %s" msg
+  in
+  List.iter
+    (fun heuristic ->
+       let r = { text; heuristic; max_nodes = None; max_steps = None } in
+       match C.minimize c ~heuristic (P.Session_ref sid) with
+       | Ok reply -> check_offline "session minimize" r (served_verdict reply)
+       | Error msg -> Alcotest.failf "transport error %s" msg)
+    [ "sched"; "osm_bt"; "tsm_td"; "restr"; "sched" ]
 
 let serve_replay_node_budget () =
   (* A node budget counts the live nodes of the manager the request runs
@@ -777,7 +789,7 @@ let serve_replay_node_budget () =
   done;
   let target =
     { text = Serve.Loadgen.build_payload ~nvars:7 ~seed:999;
-      heuristic = "sched"; repr = `Bdd; max_nodes = Some 254;
+      heuristic = "sched"; max_nodes = Some 254;
       max_steps = None }
   in
   let _, peak = offline_run { target with max_nodes = None } in
@@ -902,6 +914,7 @@ let suite =
     Alcotest.test_case "deadline dnf does not disturb others" `Quick
       serve_deadline_dnf_isolated;
     Alcotest.test_case "error replies" `Quick serve_error_replies;
+    Alcotest.test_case "repr field: bdd only" `Quick serve_repr_field;
     Alcotest.test_case "reach and equiv ops" `Quick serve_reach_equiv;
     Alcotest.test_case "metrics endpoint" `Quick serve_metrics;
     Alcotest.test_case "trace id round trip" `Quick serve_trace_roundtrip;
