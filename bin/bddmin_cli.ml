@@ -36,7 +36,7 @@ let parse_pair fexpr cexpr =
   let c = Logic.Bexpr.to_bdd man ~env c_ast in
   Ok (man, mapping, Minimize.Ispec.make ~f ~c)
 
-let pp_cover man mapping g =
+let pp_cover mapping g =
   let var_name v =
     match List.find_opt (fun (_, i) -> i = v) mapping with
     | Some (n, _) -> n
@@ -45,7 +45,7 @@ let pp_cover man mapping g =
   if Bdd.is_one g then "1"
   else if Bdd.is_zero g then "0"
   else
-    let cubes = Bdd.Cube.all_cubes ~limit:64 man g in
+    let cubes = Bdd.Cube.all_cubes ~limit:64 g in
     let cube_str c =
       String.concat " & "
         (List.map
@@ -226,14 +226,14 @@ let minimize_cmd =
           (fun (e : Minimize.Registry.entry) ->
              let g = Minimize.Registry.run e ctx inst in
              Printf.printf "%-8s size %-4d  %s\n" e.name (Bdd.size man g)
-               (pp_cover man mapping g))
+               (pp_cover mapping g))
           entries;
         if exact then begin
           match Minimize.Exact.minimize man inst with
           | Some r ->
             Printf.printf "%-8s size %-4d  %s   (%d covers tried)\n" "exact"
               r.Minimize.Exact.size
-              (pp_cover man mapping r.Minimize.Exact.cover)
+              (pp_cover mapping r.Minimize.Exact.cover)
               r.Minimize.Exact.covers_tried
           | None ->
             Printf.printf "exact: instance too large for exhaustive search\n"
@@ -897,7 +897,7 @@ let dot_cmd =
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
-    | Ok (man, mapping, inst) ->
+    | Ok (_, mapping, inst) ->
       let var_name v =
         match List.find_opt (fun (_, i) -> i = v) mapping with
         | Some (n, _) -> n
@@ -908,7 +908,7 @@ let dot_cmd =
         else
           [ ("f", inst.Minimize.Ispec.f); ("c", inst.Minimize.Ispec.c) ]
       in
-      let text = Bdd.Dot.to_dot ~var_name man roots in
+      let text = Bdd.Dot.to_dot ~var_name roots in
       (match out with
        | Some path ->
          let oc = open_out path in

@@ -37,7 +37,7 @@ let () =
        r.Minimize.Exact.size r.Minimize.Exact.covers_tried;
      let lb = Minimize.Lower_bound.compute man inst in
      Format.printf "%-8s %-5d  (Theorem 7 cube bound)@.@." "low_bd" lb;
-     Bdd.Dot.dump_file "quickstart.dot" man
+     Bdd.Dot.dump_file "quickstart.dot"
        [ ("f", f); ("c", c); ("optimal cover", r.Minimize.Exact.cover) ];
      Format.printf "Wrote quickstart.dot (render with: dot -Tpng -O quickstart.dot)@."
    | None -> assert false)

@@ -48,7 +48,7 @@ let mk man v ~hi ~lo =
 
 let ite_var man v t e = mk man v ~hi:t ~lo:e
 
-let of_bdd man _bman bdd ~high ~low =
+let of_bdd man bdd ~high ~low =
   let memo = Hashtbl.create 256 in
   let rec go e =
     if Core_dd.is_one e then const man high

@@ -24,7 +24,7 @@ val ite_var : man -> int -> t -> t -> t
 (** [ite_var man v t e]: variable test at level [v]; requires [v] above
     the tops of [t] and [e]. *)
 
-val of_bdd : man -> Core_dd.man -> Core_dd.t -> high:int -> low:int -> t
+val of_bdd : man -> Core_dd.t -> high:int -> low:int -> t
 (** Map a BDD to the ADD sending its onset to [high] and offset to
     [low]. *)
 

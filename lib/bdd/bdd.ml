@@ -9,11 +9,8 @@ type repr = [ `Bdd ]
 
 (* The one front door for manager construction.  [repr] is a plain
    stand-in (see [repr] above). *)
-let create ?nvars ?repr:(_ : repr option) ?cache_bits ?cache_bytes ?auto_gc
-    ?budget () =
-  let man =
-    Core_dd.new_man ?nvars ?cache_bits ?cache_budget:cache_bytes ?auto_gc ()
-  in
+let create ?nvars ?repr:(_ : repr option) ?cache_bits ?cache_bytes ?budget () =
+  let man = Core_dd.new_man ?nvars ?cache_bits ?cache_budget:cache_bytes () in
   Core_dd.set_budget man budget;
   man
 

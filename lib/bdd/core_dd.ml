@@ -12,25 +12,22 @@
      stripes and many views (see [man] below).  Table code, interning,
      collection and the audit are written once for both;
    - each stripe of the unique table is a custom open-addressed
-     (linear-probing) array of nodes, grown at 75% load and
-     garbage-collected by mark-and-sweep from the external roots every
-     view registers through [ref_]/[deref]/[with_root] (plus the
-     projection functions, which are permanent);
+     (linear-probing) array of nodes, grown at 75% load;
    - the computed cache is a fixed-size, power-of-two, direct-mapped lossy
      cache keyed by packed integers: a probe allocates nothing, a store
      simply overwrites (evictions are counted), and the cache adaptively
      doubles up to a byte budget when conflict evictions are heavy.
 
-   Garbage collection removes dead nodes from the unique table so the OCaml
-   GC can reclaim them.  Edges still held by un-rooted OCaml values remain
-   structurally valid after a collection — operations on them stay
-   semantically correct — but they may lose canonicity (an equal function
-   rebuilt later gets a fresh node), so code that keeps edges across
-   operations and wants physical equality must root them.  On a striped
-   store another domain's collection can also start between an operation
-   and the caller's [ref_] of its result, so every view keeps the result
-   of its latest operation marked until its next operation returns (see
-   [last] in [man]). *)
+   Collection happens only in [gc], at points the caller chooses: a
+   mark-and-sweep from the roots every view registers through
+   [ref_]/[deref]/[with_root], the projection functions (permanent) and
+   the [roots] the caller passes, after which the OCaml GC can reclaim
+   the swept nodes.  No operation ever collects on its own, so edges
+   held on the OCaml stack stay canonical until the caller's next [gc].
+   An un-rooted edge that survives a collection remains structurally
+   valid — operations on it stay semantically correct — but it may lose
+   canonicity (an equal function rebuilt later gets a fresh node), so a
+   caller that collects roots what it keeps. *)
 
 type node = {
   id : int;
@@ -65,12 +62,11 @@ type budget = {
 }
 
 (* Every manager is a {e view} of a node store.  The store owns the
-   unique table, the GC trigger and the stop-the-world barrier; the view
-   keeps the domain-local state: the computed cache, the cube/signature
-   interning tables, the external roots, the budget and the statistics
-   counters.  A private manager ([new_man]) is the only view of its own
-   one-stripe store, marked [sh_solo]: it interns without taking the
-   stripe lock and never enters the barrier.  [Shared.create] builds a
+   unique table; the view keeps the domain-local state: the computed
+   cache, the cube/signature interning tables, the external roots, the
+   budget and the statistics counters.  A private manager ([new_man]) is
+   the only view of its own one-stripe store, marked [sh_solo]: it
+   interns without taking the stripe lock.  [Shared.create] builds a
    striped store that several domains attach views to. *)
 type man = {
   mutable vars : int;
@@ -97,7 +93,6 @@ type man = {
   (* external roots *)
   mutable var_edges : t option array;             (* projection functions *)
   refs : (int, node * int ref) Hashtbl.t;         (* node id -> refcount *)
-  mutable auto_gc : bool;
   mutable budget : budget option;
   (* statistics *)
   mutable n_ite : int;
@@ -114,46 +109,27 @@ type man = {
   mutable gc_runs : int;
   mutable gc_nodes : int;
   store : shared;
-  mutable op_depth : int;       (* nesting of barrier-bracketed operations *)
-  (* Result of the view's latest bracketed operation, marked by the
-     collector: on a striped store a collection another domain starts
-     between an operation and the caller's [ref_] of its result must
-     not sweep it.  A solo store collects only at its own view's
-     operation boundaries, so its view never sets it. *)
-  mutable last : t;
 }
 
-(* A node store: a striped open-addressed unique table plus the
-   stop-the-world GC barrier.  The stripe index comes from hash bits
+(* A node store: a striped open-addressed unique table.  The stripe
+   index comes from hash bits
    well above the in-stripe probe bits, so two concurrent interns of
    different nodes rarely meet on a lock; within a stripe the probe
    sequence is the classical linear one.  Stripe [k] of [S] numbers its
    nodes [k+1, k+1+S, ...], so ids are unique store-wide without a
    shared counter, and a one-stripe store numbers them 1, 2, 3, ... *)
 and shared = {
-  sh_solo : bool;                                 (* one view: no locks, no barrier *)
+  sh_solo : bool;                                 (* one view: no locks *)
   sh_stripes : table array;                       (* length is a power of two *)
   sh_min_capacity : int;                          (* a stripe never shrinks below *)
   sh_terminal : node;
   sh_top : t;
   sh_vars : int Atomic.t;                         (* max over views *)
-  sh_ext_refs : int Atomic.t;                     (* distinct rooted nodes, all views *)
-  sh_gc_wanted : bool Atomic.t;
-  sh_no_auto : int Atomic.t;                      (* views with auto-GC suspended *)
-  (* stop-the-world barrier: mutators hold [sh_active] while inside an
-     operation; a collector raises [sh_gc_pending], waits for the count
-     to drain to zero, and new entrants park on [sh_cv] *)
-  sh_active : int Atomic.t;
-  sh_gc_pending : bool Atomic.t;
-  sh_lock : Mutex.t;                              (* views list + barrier waits *)
-  sh_cv : Condition.t;
-  sh_gc_lock : Mutex.t;                           (* serializes collectors *)
+  sh_lock : Mutex.t;                              (* the two view lists *)
   mutable sh_views : man list;                    (* under sh_lock *)
   mutable sh_free : man list;                     (* reusable views, under sh_lock *)
   (* telemetry *)
   sh_intern_retries : int Atomic.t;               (* contended stripe locks *)
-  sh_barrier_waits : int Atomic.t;
-  sh_barrier_wait_ns : int Atomic.t;
   sh_gc_runs : int Atomic.t;
   sh_gc_reclaimed : int Atomic.t;
 }
@@ -208,19 +184,10 @@ let make_store ~solo ~nvars ~stripes ~min_capacity =
     sh_terminal = terminal;
     sh_top = self;
     sh_vars = Atomic.make nvars;
-    sh_ext_refs = Atomic.make 0;
-    sh_gc_wanted = Atomic.make false;
-    sh_no_auto = Atomic.make 0;
-    sh_active = Atomic.make 0;
-    sh_gc_pending = Atomic.make false;
     sh_lock = Mutex.create ();
-    sh_cv = Condition.create ();
-    sh_gc_lock = Mutex.create ();
     sh_views = [];
     sh_free = [];
     sh_intern_retries = Atomic.make 0;
-    sh_barrier_waits = Atomic.make 0;
-    sh_barrier_wait_ns = Atomic.make 0;
     sh_gc_runs = Atomic.make 0;
     sh_gc_reclaimed = Atomic.make 0;
   }
@@ -229,7 +196,7 @@ let make_store ~solo ~nvars ~stripes ~min_capacity =
    source of its store, so a view is attached before anything is rooted
    through it. *)
 let make_view ?(cache_bits = default_cache_bits)
-    ?(cache_budget = default_cache_budget) ?(auto_gc = true) sh =
+    ?(cache_budget = default_cache_budget) sh =
   let cache_bits = max 1 (min 24 cache_bits) in
   let ccap = 1 lsl cache_bits in
   (* byte budget, rounded down to a power of two of entries, but never
@@ -262,7 +229,6 @@ let make_view ?(cache_bits = default_cache_bits)
       cube_suffixes = Hashtbl.create 64;
       var_edges = Array.make (max 16 nvars) None;
       refs = Hashtbl.create 64;
-      auto_gc;
       budget = None;
       n_ite = 0;
       n_and = 0;
@@ -278,18 +244,15 @@ let make_view ?(cache_bits = default_cache_bits)
       gc_runs = 0;
       gc_nodes = 0;
       store = sh;
-      op_depth = 0;
-      last = sh.sh_top;
     }
   in
-  if not auto_gc then Atomic.incr sh.sh_no_auto;
   Mutex.lock sh.sh_lock;
   sh.sh_views <- view :: sh.sh_views;
   Mutex.unlock sh.sh_lock;
   view
 
-let new_man ?(nvars = 0) ?cache_bits ?cache_budget ?auto_gc () =
-  make_view ?cache_bits ?cache_budget ?auto_gc
+let new_man ?(nvars = 0) ?cache_bits ?cache_budget () =
+  make_view ?cache_bits ?cache_budget
     (make_store ~solo:true ~nvars ~stripes:1
        ~min_capacity:min_unique_capacity)
 
@@ -433,7 +396,7 @@ let cache_reset man =
 
 let clear_caches man = cache_reset man
 
-(* ----- unique table: stripes and the stop-the-world barrier ----- *)
+(* ----- unique table: stripes ----- *)
 
 let u_hash var hid luid =
   let h = (var * 0x9e3779b1) lxor (hid * 0x85ebca6b) lxor (luid * 0xc2b2ae35) in
@@ -481,87 +444,13 @@ let table_rebuild terminal t newcap keep =
     old;
   t.count <- !count
 
-(* Barrier entry: the fast path is one atomic increment and one atomic
-   load.  When a collection is pending the entrant backs out (waking the
-   collector if it was the last active mutator), parks until the world
-   restarts, and retries.  [op_depth] makes the bracket re-entrant per
-   view, so a public operation implemented with other public operations
-   never deadlocks against its own domain. *)
-let rec barrier_enter sh =
-  Atomic.incr sh.sh_active;
-  if Atomic.get sh.sh_gc_pending then begin
-    if Atomic.fetch_and_add sh.sh_active (-1) = 1 then begin
-      Mutex.lock sh.sh_lock;
-      Condition.broadcast sh.sh_cv;
-      Mutex.unlock sh.sh_lock
-    end;
-    let t0 = Obs.Clock.now_ns () in
-    Mutex.lock sh.sh_lock;
-    while Atomic.get sh.sh_gc_pending do
-      Condition.wait sh.sh_cv sh.sh_lock
-    done;
-    Mutex.unlock sh.sh_lock;
-    Atomic.incr sh.sh_barrier_waits;
-    ignore
-      (Atomic.fetch_and_add sh.sh_barrier_wait_ns
-         (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)));
-    barrier_enter sh
-  end
-
-let barrier_exit sh =
-  if
-    Atomic.fetch_and_add sh.sh_active (-1) = 1
-    && Atomic.get sh.sh_gc_pending
-  then begin
-    Mutex.lock sh.sh_lock;
-    Condition.broadcast sh.sh_cv;
-    Mutex.unlock sh.sh_lock
-  end
-
-(* The op bracket.  A solo store has no other mutator to stop, so its
-   view never enters the barrier. *)
-let[@inline] op_enter man =
-  let sh = man.store in
-  if not sh.sh_solo then begin
-    man.op_depth <- man.op_depth + 1;
-    if man.op_depth = 1 then barrier_enter sh
-  end
-
-let[@inline] op_exit man =
-  let sh = man.store in
-  if not sh.sh_solo then begin
-    man.op_depth <- man.op_depth - 1;
-    if man.op_depth = 0 then barrier_exit sh
-  end
-
-(* Bracket a whole public operation.  The closure allocation is per
-   operation entry, not per recursion step, and only happens on views of
-   a striped store ([Fun.protect] must release the barrier when a budget
-   trips mid-kernel).  The result becomes the view's [last] inside the
-   bracket, so no collection can fall between the two. *)
-let[@inline] shared_op man k =
-  if man.store.sh_solo then k ()
-  else begin
-    op_enter man;
-    Fun.protect
-      ~finally:(fun () -> op_exit man)
-      (fun () ->
-         let r = k () in
-         man.last <- r;
-         r)
-  end
-
 (* Find or insert [(var, h, l)] in stripe [t] ([h0] is its hash); on
    a striped store the caller holds [t.lock].  A stripe about to pass 75%
-   load doubles first, and a growing stripe is the GC trigger: it arms a
-   collection for the next operation boundary when something is rooted
-   and no view has auto-GC suspended. *)
+   load doubles first. *)
 let table_intern sh t var h l h0 =
   if (t.count + 1) * 4 > (t.mask + 1) * 3 then begin
     let old_capacity = t.mask + 1 in
     table_rebuild sh.sh_terminal t (old_capacity * 2) (fun _ -> true);
-    if Atomic.get sh.sh_ext_refs > 0 && Atomic.get sh.sh_no_auto = 0 then
-      Atomic.set sh.sh_gc_wanted true;
     trace_resize "bdd.table_grow" ~old_capacity ~new_capacity:(t.mask + 1)
   end;
   let hid = h.node.id and luid = uid l in
@@ -584,12 +473,8 @@ let table_intern sh t var h l h0 =
   probe (h0 land mask)
 
 (* Intern a node whose then-edge is already regular.  Only a striped
-   store locks the stripe, and there the intern is barrier-bracketed
-   (before the lock: the barrier may park): external callers (Store
-   loading, netlist synthesis) construct nodes
-   outside any public operation, and such a bare intern must not race a
-   collection.  Inside kernels the bracket is already held and the
-   re-entrant [op_depth] makes it two plain integer writes. *)
+   store locks the stripe: concurrent interns from several domains meet
+   there. *)
 let intern man var ~hi:h ~lo:l =
   assert (not h.neg);
   let sh = man.store in
@@ -597,14 +482,12 @@ let intern man var ~hi:h ~lo:l =
   let t = stripe_of sh h0 in
   if sh.sh_solo then table_intern sh t var h l h0
   else begin
-    op_enter man;
     if not (Mutex.try_lock t.lock) then begin
       Atomic.incr sh.sh_intern_retries;
       Mutex.lock t.lock
     end;
     let e = table_intern sh t var h l h0 in
     Mutex.unlock t.lock;
-    op_exit man;
     e
   end
 
@@ -640,35 +523,24 @@ let ithvar man i =
 
 (* ----- external references and garbage collection ----- *)
 
-(* Roots are registered per view.  The mutation is barrier-bracketed:
-   the collector reads every view's root table while the world is
-   stopped, so no root update may be in flight. *)
+(* Roots are registered per view, in the view's own table: the
+   collector reads every view's table, and runs only while no other
+   domain operates on the store (see [gc]). *)
 let ref_ man e =
   let n = e.node in
-  if n.var <> const_var then begin
-    op_enter man;
-    (match Hashtbl.find_opt man.refs n.id with
-     | Some (_, c) -> incr c
-     | None ->
-       Hashtbl.add man.refs n.id (n, ref 1);
-       Atomic.incr man.store.sh_ext_refs);
-    op_exit man
-  end
+  if n.var <> const_var then
+    match Hashtbl.find_opt man.refs n.id with
+    | Some (_, c) -> incr c
+    | None -> Hashtbl.add man.refs n.id (n, ref 1)
 
 let deref man e =
   let n = e.node in
-  if n.var <> const_var then begin
-    op_enter man;
-    (match Hashtbl.find_opt man.refs n.id with
-     | Some (_, c) ->
-       decr c;
-       if !c <= 0 then begin
-         Hashtbl.remove man.refs n.id;
-         Atomic.decr man.store.sh_ext_refs
-       end
-     | None -> ());
-    op_exit man
-  end
+  if n.var <> const_var then
+    match Hashtbl.find_opt man.refs n.id with
+    | Some (_, c) ->
+      decr c;
+      if !c <= 0 then Hashtbl.remove man.refs n.id
+    | None -> ()
 
 let with_root man e k =
   ref_ man e;
@@ -681,48 +553,31 @@ let rec gc_mark n =
     gc_mark n.n_lo.node
   end
 
-(* Stop-the-world collection.  The requesting domain must be {e outside}
-   any bracketed operation: collections only start at operation
-   boundaries.  Protocol: serialize collectors on [sh_gc_lock], raise
-   [sh_gc_pending], wait until every active mutator drains (a solo store
-   has none, so this passes straight through), then — with every domain
-   parked — mark from all views' roots, projection edges and latest
-   results, rebuild each stripe keeping marked nodes (shrinking it when
-   the survivors rattle around in it; growth is [intern]'s business),
-   and reset every view's computed cache (cached results may reference
-   swept nodes).
-   Stripe locks are taken during the rebuild purely as belt and braces;
-   no mutator can hold one while the world is stopped. *)
+(* The one collector, run only when a caller asks.  Precondition on a
+   striped store: no other domain is inside an operation on any view of
+   the store — the caller-held contract that also keeps a view to one
+   domain at a time.  Mark from every view's roots and projection edges
+   and from [roots], rebuild each stripe keeping the marked nodes
+   (shrinking it when the survivors rattle around in it; growth is
+   [intern]'s business), and reset every view's computed cache (cached
+   results may reference swept nodes). *)
 let gc ?(roots = []) man =
   let sh = man.store in
-  Mutex.lock sh.sh_gc_lock;
-  Atomic.set sh.sh_gc_wanted false;
-  Atomic.set sh.sh_gc_pending true;
-  let t0 = Obs.Clock.now_ns () in
   Mutex.lock sh.sh_lock;
-  while Atomic.get sh.sh_active > 0 do
-    Condition.wait sh.sh_cv sh.sh_lock
-  done;
   let views = sh.sh_views in
   Mutex.unlock sh.sh_lock;
-  Atomic.incr sh.sh_barrier_waits;
-  ignore
-    (Atomic.fetch_and_add sh.sh_barrier_wait_ns
-       (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)));
   List.iter
     (fun v ->
        Hashtbl.iter (fun _ (n, _) -> gc_mark n) v.refs;
        Array.iter
          (function Some e -> gc_mark e.node | None -> ())
-         v.var_edges;
-       gc_mark v.last.node)
+         v.var_edges)
     views;
   List.iter (fun e -> gc_mark e.node) roots;
   let before = live_count man in
   let min_cap = sh.sh_min_capacity in
   Array.iter
     (fun t ->
-       Mutex.lock t.lock;
        let marked =
          Array.fold_left
            (fun acc n ->
@@ -730,14 +585,12 @@ let gc ?(roots = []) man =
            0 t.slots
        in
        let wanted = next_pow2 (max min_cap (marked * 2)) min_cap in
-       table_rebuild sh.sh_terminal t (min (t.mask + 1) wanted)
-         (fun n ->
-            if n.mark then begin
-              n.mark <- false;
-              true
-            end
-            else false);
-       Mutex.unlock t.lock)
+       table_rebuild sh.sh_terminal t (min (t.mask + 1) wanted) (fun n ->
+           if n.mark then begin
+             n.mark <- false;
+             true
+           end
+           else false))
     sh.sh_stripes;
   let live = live_count man in
   List.iter cache_reset views;
@@ -746,51 +599,8 @@ let gc ?(roots = []) man =
   man.gc_nodes <- man.gc_nodes + reclaimed;
   Atomic.incr sh.sh_gc_runs;
   ignore (Atomic.fetch_and_add sh.sh_gc_reclaimed reclaimed);
-  Atomic.set sh.sh_gc_pending false;
-  Mutex.lock sh.sh_lock;
-  Condition.broadcast sh.sh_cv;
-  Mutex.unlock sh.sh_lock;
-  Mutex.unlock sh.sh_gc_lock;
   trace_gc ~reclaimed ~live_nodes:(live + 1);
   reclaimed
-
-(* [sh_no_auto] counts the views with auto-GC suspended: a suspension
-   stops growth from arming a collection (see [table_intern]) and vetoes
-   armed collections on every view of the store. *)
-let set_auto_gc man b =
-  if man.auto_gc <> b then begin
-    if b then Atomic.decr man.store.sh_no_auto
-    else Atomic.incr man.store.sh_no_auto;
-    man.auto_gc <- b
-  end
-
-(* Collection only ever runs at operation boundaries: recursions in flight
-   hold un-rooted intermediate edges on the OCaml stack, and sweeping them
-   would cost canonicity (never correctness, but still).  An armed
-   collection fires only while no view of the store has auto-GC
-   suspended, and a compare-and-set elects a single collecting
-   domain. *)
-let maybe_gc man =
-  let sh = man.store in
-  if
-    Atomic.get sh.sh_gc_wanted
-    && Atomic.get sh.sh_no_auto = 0
-    && Atomic.compare_and_set sh.sh_gc_wanted true false
-  then ignore (gc man)
-
-(* Long fixpoint computations (symbolic traversal) hold their evolving
-   working set only on un-rooted OCaml edges; an automatic collection
-   armed by some long-lived root would sweep it every time the table
-   grows — costing canonicity of every in-flight set and flushing the
-   computed cache over and over.  Such loops suspend the trigger and
-   collect (or let the pending trigger fire) when they are done.  A
-   collection armed before the suspension runs first, so nothing the
-   loop builds is swept. *)
-let without_auto_gc man k =
-  maybe_gc man;
-  let prev = man.auto_gc in
-  set_auto_gc man false;
-  Fun.protect ~finally:(fun () -> set_auto_gc man prev) k
 
 (* ----- Resource budgets ----- *)
 
@@ -1047,24 +857,20 @@ and ite_aux man f g h =
     r
 
 let ite man f g h =
-  maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> ite_norm man f g h)
+  ite_norm man f g h
 
 let and_ man f g =
-  maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> and_rec man f g)
+  and_rec man f g
 
 let or_ man f g =
-  maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> or_rec man f g)
+  or_rec man f g
 
 let xor man f g =
-  maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> xor_rec man f g)
+  xor_rec man f g
 
 let dand = and_
 let dor = or_
@@ -1083,9 +889,7 @@ let leq man f g = is_zero (diff man f g)
 (* ----- Cofactor with respect to an arbitrary variable ----- *)
 
 let cofactor man f ~var phase =
-  maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let memo = Hashtbl.create 64 in
   let rec go f =
     if topvar f > var then f
@@ -1148,10 +952,9 @@ let interned_sets man = man.next_iarr
 (* The recursion carries an index into the sorted variable array; the
    cache key is (tag, uid f, id of the unquantified suffix), all packed
    ints, stored in the manager's bounded computed cache so results
-   persist across calls.  [combine] must be the recursion-level kernel
-   ([or_rec]/[and_rec]), not the public entry points: those run
-   [maybe_gc], and a collection mid-recursion would sweep un-rooted
-   intermediates. *)
+   persist across calls.  [combine] is the recursion-level kernel
+   ([or_rec]/[and_rec]), not the public entry point, which would poll
+   the budget's clock again at every step. *)
 let quantify_rec man tag combine vars suffix i0 f0 =
   let nv = Array.length vars in
   let rec go i f =
@@ -1178,23 +981,17 @@ let quantify_rec man tag combine vars suffix i0 f0 =
   go i0 f0
 
 let exists man vars f =
-  maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let vars, suffix = cube_of_list man vars in
   quantify_rec man tag_exists or_rec vars suffix 0 f
 
 let forall man vars f =
-  maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let vars, suffix = cube_of_list man vars in
   quantify_rec man tag_forall and_rec vars suffix 0 f
 
 let and_exists man vars f g =
-  maybe_gc man;
   budget_entry man;
-  shared_op man @@ fun () ->
   let vars, suffix = cube_of_list man vars in
   let nv = Array.length vars in
   let rec go i f g =
@@ -1239,9 +1036,7 @@ let vector_compose man f subs =
   match subs with
   | [] -> f
   | _ ->
-    maybe_gc man;
     budget_entry man;
-    shared_op man @@ fun () ->
     let table = Hashtbl.create 16 in
     List.iter (fun (v, g) -> Hashtbl.replace table v g) subs;
     let bindings =
@@ -1306,9 +1101,8 @@ let rec constrain_rec man f c =
 
 let constrain man f c =
   if is_zero c then invalid_arg "Core_dd.constrain: empty care set";
-  maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> constrain_rec man f c)
+  constrain_rec man f c
 
 let rec restrict_rec man f c =
   if is_one c || is_const f then f
@@ -1334,9 +1128,8 @@ let rec restrict_rec man f c =
 
 let restrict man f c =
   if is_zero c then invalid_arg "Core_dd.restrict: empty care set";
-  maybe_gc man;
   budget_entry man;
-  shared_op man (fun () -> restrict_rec man f c)
+  restrict_rec man f c
 
 (* ----- Inspection ----- *)
 
@@ -1627,10 +1420,6 @@ module Shared = struct
       sh.sh_views <- List.filter (fun v -> v != man) sh.sh_views;
       sh.sh_free <- List.filter (fun v -> v != man) sh.sh_free;
       Mutex.unlock sh.sh_lock;
-      if not man.auto_gc then Atomic.decr sh.sh_no_auto;
-      let dropped = Hashtbl.length man.refs in
-      if dropped > 0 then
-        ignore (Atomic.fetch_and_add sh.sh_ext_refs (-dropped));
       Hashtbl.reset man.refs
 
   let view_count sh =
@@ -1673,7 +1462,7 @@ module Shared = struct
       intern_retries = Atomic.get sh.sh_intern_retries;
       gc_runs = Atomic.get sh.sh_gc_runs;
       gc_reclaimed = Atomic.get sh.sh_gc_reclaimed;
-      barrier_waits = Atomic.get sh.sh_barrier_waits;
-      barrier_wait_ns = Atomic.get sh.sh_barrier_wait_ns;
+      barrier_waits = 0;
+      barrier_wait_ns = 0;
     }
 end

@@ -38,7 +38,6 @@ val new_man :
   ?nvars:int ->
   ?cache_bits:int ->
   ?cache_budget:int ->
-  ?auto_gc:bool ->
   unit ->
   man
 (** [new_man ()] creates a fresh manager.  [nvars] merely preallocates the
@@ -55,10 +54,8 @@ val new_man :
     the capacity, the cache doubles, up to [cache_budget] bytes
     (default 32 MiB at 32 bytes per entry).
 
-    [auto_gc] (default [true]) lets the manager run {!gc} on its own at
-    operation boundaries once the unique table has grown — but only when
-    at least one external reference is registered (see {!ref_}), since
-    otherwise every node would be swept. *)
+    The manager never collects on its own: nodes stay interned until a
+    caller runs {!gc}. *)
 
 val nvars : man -> int
 (** Number of variables created so far. *)
@@ -75,14 +72,17 @@ val clear_caches : man -> unit
 
 (** {1 External references and garbage collection}
 
-    The unique table is garbage-collected by mark-and-sweep.  Roots are
-    the projection functions (always), the edges registered through
-    {!ref_}, and any [roots] passed to {!gc} explicitly.  Edges held by
-    plain OCaml values across a collection remain structurally valid and
-    all operations on them stay {e semantically} correct, but they can
-    lose {e canonicity}: a semantically equal function rebuilt afterwards
-    may get a fresh node, so [equal] no longer implies physical identity
-    between pre- and post-GC results.  Root anything you keep. *)
+    Collection happens only in {!gc}, at points the caller chooses: no
+    operation collects on its own, so every edge an operation returns
+    stays canonical until the caller's next [gc].  The collection is a
+    mark-and-sweep whose roots are the projection functions (always),
+    the edges registered through {!ref_}, and the [roots] passed to
+    {!gc}.  Edges held by plain OCaml values across a collection remain
+    structurally valid and all operations on them stay {e semantically}
+    correct, but they can lose {e canonicity}: a semantically equal
+    function rebuilt afterwards may get a fresh node, so [equal] no
+    longer implies physical identity between pre- and post-GC results.
+    Before calling [gc], root (or pass as [roots]) anything you keep. *)
 
 val ref_ : man -> t -> unit
 (** Register an external reference: the edge's cone survives {!gc}.
@@ -97,21 +97,15 @@ val with_root : man -> t -> (t -> 'a) -> 'a
     (also on exceptions). *)
 
 val gc : ?roots:t list -> man -> int
-(** Mark-and-sweep collection: sweep every node not reachable from the
-    registered references, the projection functions, or [roots]; flush
-    the computed cache (its entries may mention swept nodes).  Returns
-    the number of nodes reclaimed. *)
+(** Mark-and-sweep collection, the engine's only one: sweep every node
+    not reachable from the registered references (of every view of the
+    store), the projection functions, or [roots]; flush every view's
+    computed cache (its entries may mention swept nodes).  Returns the
+    number of nodes reclaimed.
 
-val set_auto_gc : man -> bool -> unit
-(** Enable or disable the automatic collection trigger (see {!new_man}). *)
-
-val without_auto_gc : man -> (unit -> 'a) -> 'a
-(** Run with the automatic trigger suspended, restoring it on exit (also
-    on exceptions); a collection already armed runs first.  For long
-    fixpoint loops whose working set lives on un-rooted edges: an
-    automatic collection would sweep the in-flight sets (costing
-    canonicity and the computed cache) every time the table grows past
-    a long-lived root. *)
+    On a view of a {!Shared.store}, call it only while no other domain
+    is inside an operation on any view of the store — the same
+    caller-held contract as "a view serves one domain at a time". *)
 
 (** {1 Resource budgets}
 
@@ -472,13 +466,13 @@ val self_check : man -> int
     unique table and the collector, the view its computed cache, cube
     tables, external roots, budget and statistics.  A private manager
     ({!new_man}, [Bdd.create]) is the only view of its own one-stripe
-    store, which takes no lock and has no barrier to enter.
+    store, which takes no lock.
 
     A {!Shared.store} is a node store several domains can safely share:
     a striped open-addressed unique table (the stripe is chosen from
     hash bits disjoint from the in-stripe probe bits, so concurrent
-    interns rarely contend on a lock) plus a stop-the-world
-    mark-and-sweep collector.  Each participating domain
+    interns rarely contend on a lock) plus the mark-and-sweep collector
+    {!gc}.  Each participating domain
     {!Shared.attach}es a view, so its computed cache, cube tables,
     external roots, budget and statistics stay domain-local, eliminating
     cache-line ping-pong on the apply hot path.  Interning, collection
@@ -492,19 +486,11 @@ val self_check : man -> int
     - edges are freely shareable across views of the same store —
       canonicity is store-wide, so [equal] works between results
       produced by different domains;
-    - public operations on views participate in the GC barrier; a
-      collection stops the world, marks from {e every} view's registered
-      roots and projection functions, sweeps the stripes and resets
-      every view's computed cache;
-    - a collection also keeps each view's latest result until that
-      view's next operation returns, so one another domain starts
-      between an operation and the caller's {!ref_} of its result does
-      not sweep it; root every edge kept longer;
-    - a view inside {!without_auto_gc} stops table growth from arming an
-      automatic collection and vetoes armed ones on every view (one
-      armed earlier runs as the suspension begins), so fixpoint loops
-      keep their un-rooted working sets canonical even while other
-      domains keep operating;
+    - no operation collects, so concurrent operations never meet a
+      collection; {!gc} runs only while no other domain operates on the
+      store, marks from {e every} view's registered roots and projection
+      functions, sweeps the stripes and resets every view's computed
+      cache;
     - read-only inspection ({!size}, {!support}, {!eval}, {!iter_nodes})
       is safe concurrently with interning, but as in the private engine
       un-rooted edges may lose canonicity across a collection.
@@ -527,8 +513,8 @@ module Shared : sig
 
   val attach : store -> man
   (** Attach a fresh view for the calling domain, with a computed cache
-      sized as {!new_man}'s defaults and automatic collection enabled.
-      The view is registered as a GC root source until {!detach}. *)
+      sized as {!new_man}'s defaults.  The view is registered as a GC
+      root source until {!detach}. *)
 
   val detach : man -> unit
   (** Deregister a view: its external roots stop protecting nodes at
@@ -561,9 +547,9 @@ module Shared : sig
     gc_runs : int;
     gc_reclaimed : int;
     barrier_waits : int;
-    (** times any domain blocked at the GC barrier (mutators parking
-        plus collectors awaiting quiescence) *)
-    barrier_wait_ns : int;  (** total nanoseconds spent in those waits *)
+    (** always 0: no operation waits for a collection.  A stand-in kept
+        while the benchmark's verify workload reads it. *)
+    barrier_wait_ns : int;  (** always 0, a stand-in like [barrier_waits] *)
   }
 
   val telemetry : store -> telemetry

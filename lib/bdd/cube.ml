@@ -9,7 +9,7 @@ let of_cube man c =
   in
   List.fold_left add (Core_dd.one man) c
 
-let to_cube _man f =
+let to_cube f =
   let rec go acc f =
     if Core_dd.is_one f then Some (List.rev acc)
     else if Core_dd.is_zero f then None
@@ -22,11 +22,11 @@ let to_cube _man f =
   in
   go [] f
 
-let is_cube man f = to_cube man f <> None
+let is_cube f = to_cube f <> None
 
 exception Stop
 
-let iter_cubes ?limit _man f k =
+let iter_cubes ?limit f k =
   let remaining = ref (match limit with Some n -> n | None -> max_int) in
   let rec go acc f =
     if Core_dd.is_one f then begin
@@ -44,21 +44,20 @@ let iter_cubes ?limit _man f k =
   | Some n when n <= 0 -> ()
   | _ -> ( try go [] f with Stop -> ())
 
-let all_cubes ?limit man f =
+let all_cubes ?limit f =
   let acc = ref [] in
-  iter_cubes ?limit man f (fun c -> acc := c :: !acc);
+  iter_cubes ?limit f (fun c -> acc := c :: !acc);
   List.rev !acc
 
-let any_cube man f =
+let any_cube f =
   let found = ref None in
-  iter_cubes ~limit:1 man f (fun c -> found := Some c);
-  ignore man;
+  iter_cubes ~limit:1 f (fun c -> found := Some c);
   !found
 
 let literal_count c = List.length c
 
 (* Fewest-literal path to the 1 terminal: dynamic programming on nodes. *)
-let short_cube man f =
+let short_cube f =
   if Core_dd.is_zero f then None
   else begin
     let memo = Hashtbl.create 64 in
@@ -86,7 +85,6 @@ let short_cube man f =
           Hashtbl.add memo (Core_dd.uid f) r;
           r
     in
-    ignore man;
     match best f with
     | None -> None
     | Some (_, lits) -> Some lits

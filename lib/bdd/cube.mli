@@ -14,25 +14,25 @@ type cube = literal list
 val of_cube : Core_dd.man -> cube -> Core_dd.t
 (** BDD of the conjunction. *)
 
-val to_cube : Core_dd.man -> Core_dd.t -> cube option
+val to_cube : Core_dd.t -> cube option
 (** [Some c] when the function is exactly the cube [c] (in particular
     [Some []] for the constant 1), [None] otherwise. *)
 
-val is_cube : Core_dd.man -> Core_dd.t -> bool
+val is_cube : Core_dd.t -> bool
 (** Whether the function is a non-zero cube (the constant 1 counts). *)
 
-val any_cube : Core_dd.man -> Core_dd.t -> cube option
+val any_cube : Core_dd.t -> cube option
 (** Some satisfying path-cube of the function, [None] iff it is 0. *)
 
-val iter_cubes : ?limit:int -> Core_dd.man -> Core_dd.t -> (cube -> unit) -> unit
+val iter_cubes : ?limit:int -> Core_dd.t -> (cube -> unit) -> unit
 (** Apply the callback to the path-cubes of the function, in DFS order
     (then-branch first), stopping after [limit] cubes when given.  Each
     path-cube is implied by the function's onset and implies the function. *)
 
-val all_cubes : ?limit:int -> Core_dd.man -> Core_dd.t -> cube list
+val all_cubes : ?limit:int -> Core_dd.t -> cube list
 (** The path-cubes as a list, DFS order. *)
 
-val short_cube : Core_dd.man -> Core_dd.t -> cube option
+val short_cube : Core_dd.t -> cube option
 (** A path-cube with the fewest literals (a "large" cube in the paper's
     sense — covering the most minterms), found by shortest-path search. *)
 

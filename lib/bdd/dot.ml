@@ -1,6 +1,6 @@
 let is_neg f = Core_dd.uid f land 1 = 1
 
-let to_dot ?(name = "bdd") ?(var_name = fun v -> Printf.sprintf "x%d" v) _man
+let to_dot ?(name = "bdd") ?(var_name = fun v -> Printf.sprintf "x%d" v)
     roots =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -45,7 +45,7 @@ let to_dot ?(name = "bdd") ?(var_name = fun v -> Printf.sprintf "x%d" v) _man
   pr "}\n";
   Buffer.contents buf
 
-let dump_file ?name ?var_name path man roots =
+let dump_file ?name ?var_name path roots =
   let oc = open_out path in
-  output_string oc (to_dot ?name ?var_name man roots);
+  output_string oc (to_dot ?name ?var_name roots);
   close_out oc

@@ -3,10 +3,9 @@
 val to_dot :
   ?name:string ->
   ?var_name:(int -> string) ->
-  Core_dd.man ->
   (string * Core_dd.t) list ->
   string
-(** [to_dot man roots] renders the shared DAG of the labelled [roots] as a
+(** [to_dot roots] renders the shared DAG of the labelled [roots] as a
     Graphviz [digraph].  [var_name] maps levels to labels (default
     [x<level>]). *)
 
@@ -14,7 +13,6 @@ val dump_file :
   ?name:string ->
   ?var_name:(int -> string) ->
   string ->
-  Core_dd.man ->
   (string * Core_dd.t) list ->
   unit
 (** Write {!to_dot} output to the given path. *)

@@ -16,14 +16,11 @@ let check_placement placement vars =
 
 (* Rebuild each function in [target] with variable [v] living at level
    [placement.(v)].  The target manager's ITE performs the actual
-   reordering work; memoized per source edge.  Every memoized result is
-   rooted in [target] while the rebuild runs (and the final results stay
-   rooted), so a garbage collection of the target manager — automatic or
-   explicit — cannot sweep the intermediate cones out from under us. *)
+   reordering work; memoized per source edge.  The final results stay
+   rooted in [target], so a later [gc] of it keeps them. *)
 let rebuild_into target man ~placement fs =
   check_placement placement (union_support man fs);
   let memo = Hashtbl.create 1024 in
-  let rooted = ref [] in
   let rec go e =
     if Core_dd.is_one e then Core_dd.one target
     else if Core_dd.is_zero e then Core_dd.zero target
@@ -34,14 +31,11 @@ let rebuild_into target man ~placement fs =
         let v = Core_dd.topvar e in
         let t = go (Core_dd.hi e) and l = go (Core_dd.lo e) in
         let r = Core_dd.ite target (Core_dd.ithvar target placement.(v)) t l in
-        Core_dd.ref_ target r;
-        rooted := r :: !rooted;
         Hashtbl.add memo (Core_dd.uid e) r;
         r
   in
   let out = List.map go fs in
   List.iter (Core_dd.ref_ target) out;
-  List.iter (Core_dd.deref target) !rooted;
   out
 
 let rebuild man ~placement fs =

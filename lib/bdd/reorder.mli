@@ -17,9 +17,8 @@ val rebuild :
 (** Rebuild the functions into a fresh manager under the placement.
     [placement] must be injective on the union support (checked).  The
     originals are untouched.  The rebuilt results are left rooted in the
-    target manager (see {!Core_dd.ref_}), and intermediate results are
-    rooted for the duration of the rebuild, so target-manager garbage
-    collections are safe throughout. *)
+    target manager (see {!Core_dd.ref_}), so a later {!Core_dd.gc} of
+    it keeps them. *)
 
 val shared_size_under :
   Core_dd.man -> placement:int array -> Core_dd.t list -> int

@@ -15,7 +15,7 @@ let compute ?max_iterations (sym : Symbolic.t) =
   let record ~iteration frontier =
     (* first-visit: min with (frontier ? iteration : ∞) *)
     let layer =
-      Bdd.Add.of_bdd add_man man frontier ~high:iteration
+      Bdd.Add.of_bdd add_man frontier ~high:iteration
         ~low:unreachable_sentinel
     in
     depth_map := Bdd.Add.min2 add_man !depth_map layer;

@@ -91,7 +91,7 @@ let check ?strategy ?cluster_bound ?minimize ?max_iterations ?on_instance
   let witness = Bdd.dand man reached bad_states in
   if Bdd.is_zero witness then Equivalent stats
   else
-    match Bdd.Cube.any_cube man witness with
+    match Bdd.Cube.any_cube witness with
     | Some cube -> Not_equivalent { stats; distinguishing_state = cube }
     | None -> assert false
 

@@ -96,17 +96,10 @@ let reachable ?strategy ?cluster_bound ?par ?(minimize = constrain_minimizer)
         (reached, iteration, Partial { frontier; reason })
     end
   in
-  (* The evolving reached/frontier sets live on un-rooted edges, while
-     the machine's memoized relations hold long-lived roots; suspend the
-     automatic GC trigger for the fixpoint or every unique-table growth
-     would sweep the working set (and the now-persistent quantification
-     cache entries with it). *)
   let init_reached, init_frontier =
     match resume with None -> (sym.init, sym.init) | Some (r, u) -> (r, u)
   in
-  let reached, iterations, fixpoint =
-    Bdd.without_auto_gc man @@ fun () -> go 0 init_reached init_frontier
-  in
+  let reached, iterations, fixpoint = go 0 init_reached init_frontier in
   Obs.Trace.add reach_sp "iterations" (Obs.Trace.Int iterations);
   Obs.Trace.add reach_sp "peak_frontier_nodes" (Obs.Trace.Int !peak_frontier);
   Obs.Trace.add reach_sp "peak_reached_nodes" (Obs.Trace.Int !peak_reached);

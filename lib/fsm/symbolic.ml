@@ -143,8 +143,8 @@ let input_support t = List.map snd t.input_vars
 
 (* The derived relation structures are machine constants, but image
    computation used to rebuild them on every call.  They are built on
-   first use, rooted (auto-GC would otherwise sweep them between
-   images), and cached in the record. *)
+   first use, rooted (so a caller's [gc] between images keeps them), and
+   cached in the record. *)
 let partitioned_relation t =
   match t.rel_parts with
   | Some parts -> parts

@@ -7,7 +7,7 @@ type shared = {
   compl_memo : (int, Netlist.signal) Hashtbl.t;
 }
 
-let make_shared _man builder ~var_signal =
+let make_shared builder ~var_signal =
   {
     builder;
     var_signal;
@@ -45,8 +45,8 @@ and shared_signal ctx e =
       Hashtbl.add ctx.compl_memo id s;
       s
 
-let signal_of_bdd man builder ~var_signal e =
-  shared_signal (make_shared man builder ~var_signal) e
+let signal_of_bdd builder ~var_signal e =
+  shared_signal (make_shared builder ~var_signal) e
 
 let netlist_of_symbolic ?name (sym : Symbolic.t) =
   let nl = sym.netlist in
@@ -89,7 +89,7 @@ let netlist_of_symbolic ?name (sym : Symbolic.t) =
                 which is neither a current-state variable nor an input"
                v))
   in
-  let ctx = make_shared sym.man b ~var_signal in
+  let ctx = make_shared b ~var_signal in
   List.iteri
     (fun j (_, set) -> set (shared_signal ctx sym.next_fns.(j)))
     latches;

@@ -9,7 +9,6 @@
     sequentially equivalent to the original. *)
 
 val signal_of_bdd :
-  Bdd.man ->
   Netlist.builder ->
   var_signal:(int -> Netlist.signal) ->
   Bdd.t ->
@@ -24,7 +23,7 @@ type shared
     calls within one builder. *)
 
 val make_shared :
-  Bdd.man -> Netlist.builder -> var_signal:(int -> Netlist.signal) -> shared
+  Netlist.builder -> var_signal:(int -> Netlist.signal) -> shared
 
 val shared_signal : shared -> Bdd.t -> Netlist.signal
 

@@ -11,13 +11,13 @@ let complete_state man vars cube =
     (Bdd.one man) vars
 
 let pick_full man vars set =
-  match Bdd.Cube.any_cube man set with
+  match Bdd.Cube.any_cube set with
   | None -> None
   | Some cube -> Some (complete_state man vars cube)
 
-let input_assignment man (sym : Symbolic.t) condition =
+let input_assignment (sym : Symbolic.t) condition =
   let cube =
-    match Bdd.Cube.any_cube man condition with Some c -> c | None -> []
+    match Bdd.Cube.any_cube condition with Some c -> c | None -> []
   in
   List.map
     (fun (name, v) ->
@@ -72,14 +72,14 @@ let to_states ?(max_iterations = max_int) ?final_condition man
           (state_vars @ Array.to_list sym.next_vars)
           (Bdd.conj man [ trans; states.(j); succ_next ])
       in
-      input_assignment man sym condition
+      input_assignment sym condition
     in
     let spine = List.init k step_input in
     (match final_condition with
      | None -> Some spine
      | Some cond ->
        let final =
-         input_assignment man sym
+         input_assignment sym
            (Bdd.exists man state_vars (Bdd.dand man cond states.(k)))
        in
        Some (spine @ [ final ]))

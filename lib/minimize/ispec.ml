@@ -24,12 +24,12 @@ let canonical_key man s = (Bdd.uid (onset man s), Bdd.uid s.c)
 
 let compl s = { s with f = Bdd.compl s.f }
 
-let care_is_cube man s = Bdd.Cube.is_cube man s.c
+let care_is_cube s = Bdd.Cube.is_cube s.c
 let care_implies_onset man s = Bdd.leq man s.c s.f
 let care_implies_offset man s = Bdd.leq man s.c (Bdd.compl s.f)
 
 let trivial man s =
-  care_is_cube man s || care_implies_onset man s || care_implies_offset man s
+  care_is_cube s || care_implies_onset man s || care_implies_offset man s
 
 let c_onset_fraction man s =
   let vars =

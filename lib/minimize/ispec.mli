@@ -36,7 +36,7 @@ val canonical_key : Bdd.man -> t -> int * int
 val compl : t -> t
 (** The complement ispec [[¬f; c]]; covers are complements of covers. *)
 
-val care_is_cube : Bdd.man -> t -> bool
+val care_is_cube : t -> bool
 val care_implies_onset : Bdd.man -> t -> bool
 (** [c ≤ f]: the minimum cover is the constant 1 (when [c ≠ 0]). *)
 

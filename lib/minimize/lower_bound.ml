@@ -12,9 +12,9 @@ let witness man ?(cube_limit = 1000) ?(include_short_cube = true)
       best_cube := cube
     end
   in
-  Bdd.Cube.iter_cubes ~limit:cube_limit man s.Ispec.c try_cube;
+  Bdd.Cube.iter_cubes ~limit:cube_limit s.Ispec.c try_cube;
   if include_short_cube then
-    Option.iter try_cube (Bdd.Cube.short_cube man s.Ispec.c);
+    Option.iter try_cube (Bdd.Cube.short_cube s.Ispec.c);
   (!best, !best_cube)
 
 let compute man ?cube_limit ?include_short_cube s =

@@ -213,11 +213,14 @@ let machine_of ~bench ~blif j =
   | Some _, Some _ -> Error (Printf.sprintf "give %s or %s, not both" bench blif)
   | None, None -> Error (Printf.sprintf "missing %s or %s" bench blif)
 
+(* A rejected request's error carries its [id] when that much parsed
+   (0 otherwise), so the error reply names the request it answers. *)
 let parse_request payload =
   match Json.parse payload with
-  | Error msg -> Error ("bad JSON: " ^ msg)
+  | Error msg -> Error (0, "bad JSON: " ^ msg)
   | Ok j ->
     let id = Option.value ~default:0 (Json.int_field "id" j) in
+    Result.map_error (fun msg -> (id, msg)) @@
     Result.bind (parse_budget j) @@ fun budget ->
     Result.bind (parse_trace j) @@ fun trace ->
     let explain =

@@ -1118,13 +1118,13 @@ let reader_loop srv conn =
     | Ok (`Frame payload) ->
       let arrival_ns = now_ns () in
       (match Protocol.parse_request payload with
-       | Error msg ->
+       | Error (id, msg) ->
          Obs.Metrics.inc srv.m.M.malformed;
          Log.info (fun k -> k "connection %s: malformed request: %s" conn.peer msg);
-         Obs.Flight.record srv.flight ~id:0 ~op:"malformed" ~outcome:"error"
+         Obs.Flight.record srv.flight ~id ~op:"malformed" ~outcome:"error"
            ~sizes:[ ("req_bytes", String.length payload) ]
            ();
-         conn_send conn (Protocol.error_reply ~id:0 msg)
+         conn_send conn (Protocol.error_reply ~id msg)
        | Ok req ->
          Obs.Metrics.inc
            (Obs.Metrics.labels srv.m.M.requests

@@ -21,7 +21,7 @@ let of_bdd_semantics =
     (fun desc ->
        let tt = tt_of desc in
        let f = Tt.to_bdd man tt in
-       let a = A.of_bdd aman man f ~high:7 ~low:(-3) in
+       let a = A.of_bdd aman f ~high:7 ~low:(-3) in
        List.for_all
          (fun m ->
             A.eval a (fun v -> (m lsr v) land 1 = 1)
@@ -37,8 +37,8 @@ let apply2_pointwise =
     (fun (d1, d2) ->
        let n = max (fst d1) (fst d2) in
        let t1 = tt_of d1 and t2 = tt_of d2 in
-       let a1 = A.of_bdd aman man (Tt.to_bdd man t1) ~high:3 ~low:1 in
-       let a2 = A.of_bdd aman man (Tt.to_bdd man t2) ~high:5 ~low:2 in
+       let a1 = A.of_bdd aman (Tt.to_bdd man t1) ~high:3 ~low:1 in
+       let a2 = A.of_bdd aman (Tt.to_bdd man t2) ~high:5 ~low:2 in
        let sum = A.add aman a1 a2 in
        let mn = A.min2 aman a1 a2 in
        List.for_all
@@ -53,11 +53,11 @@ let canonicity =
     (fun desc ->
        let tt = tt_of desc in
        let f = Tt.to_bdd man tt in
-       let a1 = A.of_bdd aman man f ~high:1 ~low:0 in
+       let a1 = A.of_bdd aman f ~high:1 ~low:0 in
        (* same function built via apply on a trivially-rebuilt pair *)
        let a2 =
          A.apply2 aman max
-           (A.of_bdd aman man f ~high:1 ~low:0)
+           (A.of_bdd aman f ~high:1 ~low:0)
            (A.const aman 0)
        in
        A.equal a1 a2)
@@ -67,12 +67,12 @@ let roundtrip_threshold =
     (fun desc ->
        let tt = tt_of desc in
        let f = Tt.to_bdd man tt in
-       let a = A.of_bdd aman man f ~high:9 ~low:0 in
+       let a = A.of_bdd aman f ~high:9 ~low:0 in
        Bdd.equal f (A.to_bdd aman a ~pred:(fun v -> v > 0) man))
 
 let map_and_terminals () =
   let f = Bdd.dxor man (Bdd.ithvar man 0) (Bdd.ithvar man 1) in
-  let a = A.of_bdd aman man f ~high:10 ~low:20 in
+  let a = A.of_bdd aman f ~high:10 ~low:20 in
   Alcotest.(check (list int)) "terminals" [ 10; 20 ] (A.terminals aman a);
   Util.checki "min" 10 (A.min_value aman a);
   Util.checki "max" 20 (A.max_value aman a);

@@ -184,11 +184,11 @@ let cube_roundtrip =
            (List.init n Fun.id)
        in
        let g = Bdd.Cube.of_cube man cube in
-       Bdd.Cube.to_cube man g = Some cube && Bdd.Cube.is_cube man g)
+       Bdd.Cube.to_cube g = Some cube && Bdd.Cube.is_cube g)
 
 let cube_enumeration () =
   let f = Bdd.dor man (Bdd.dand man (x 0) (x 1)) (Bdd.compl (x 0)) in
-  let cubes = Bdd.Cube.all_cubes man f in
+  let cubes = Bdd.Cube.all_cubes f in
   Util.checki "two paths" 2 (List.length cubes);
   (* every enumerated cube implies f *)
   List.iter
@@ -203,16 +203,16 @@ let cube_enumeration () =
 let cube_limit () =
   let f = Bdd.dxor man (x 0) (Bdd.dxor man (x 1) (x 2)) in
   Util.checki "limit respected" 2
-    (List.length (Bdd.Cube.all_cubes ~limit:2 man f));
-  Util.checkb "zero has no cube" (Bdd.Cube.any_cube man (Bdd.zero man) = None);
-  Util.checkb "one has empty cube" (Bdd.Cube.any_cube man (Bdd.one man) = Some [])
+    (List.length (Bdd.Cube.all_cubes ~limit:2 f));
+  Util.checkb "zero has no cube" (Bdd.Cube.any_cube (Bdd.zero man) = None);
+  Util.checkb "one has empty cube" (Bdd.Cube.any_cube (Bdd.one man) = Some [])
 
 let short_cube_shortest () =
   (* f = x0 + x1·x2·x3: shortest path cube has 1 literal *)
   let f =
     Bdd.dor man (x 0) (Bdd.dand man (x 1) (Bdd.dand man (x 2) (x 3)))
   in
-  match Bdd.Cube.short_cube man f with
+  match Bdd.Cube.short_cube f with
   | Some c -> Util.checki "shortest" 1 (Bdd.Cube.literal_count c)
   | None -> Alcotest.fail "expected a cube"
 
@@ -227,7 +227,7 @@ let eval_checks =
 
 let dot_output () =
   let f = Bdd.ite man (x 0) (x 1) (Bdd.compl (x 2)) in
-  let s = Bdd.Dot.to_dot man [ ("f", f) ] in
+  let s = Bdd.Dot.to_dot [ ("f", f) ] in
   Util.checkb "digraph" (String.length s > 0 && String.sub s 0 7 = "digraph");
   Util.checkb "has terminal" (Util.contains s "t1")
 

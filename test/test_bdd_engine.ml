@@ -263,23 +263,27 @@ let cache_growth_bounded () =
   Util.checkb "cache bounded by the byte budget"
     (s.Bdd.Stats.cache_capacity <= 64)
 
-let auto_gc_triggers () =
-  (* With a rooted edge and lots of garbage, the automatic trigger must
-     eventually fire a collection on its own. *)
+(* Only a caller collects.  The same 12-latch relation, built twice by
+   the un-rooted fold [Symbolic.transition_relation] uses, on a manager
+   holding one rooted edge: without a collection in between, the two
+   builds are the very same edge. *)
+let no_collection_without_a_caller () =
   let man = Bdd.create () in
+  let n = 12 in
   let x i = Bdd.ithvar man i in
-  let kept = Bdd.dand man (x 0) (x 1) in
-  Bdd.ref_ man kept;
-  let st = Random.State.make [| 0xabcd |] in
-  for _ = 0 to 60 do
-    ignore
-      (Tt.to_bdd man (Tt.create 12 (fun _ -> Random.State.bool st)))
-  done;
-  let s = Bdd.snapshot man in
-  Util.checkb "auto gc ran" (s.Bdd.Stats.gc_runs > 0);
-  Util.checkb "auto gc reclaimed nodes" (s.Bdd.Stats.gc_reclaimed > 0);
-  Util.checkb "rooted edge survived"
-    (Bdd.uid (Bdd.dand man (x 0) (x 1)) = Bdd.uid kept)
+  Bdd.ref_ man (Bdd.dand man (x 0) (x 1));
+  let build () =
+    Array.fold_left (Bdd.dand man) (Bdd.one man)
+      (Array.init n (fun j ->
+           Bdd.dxnor man
+             (x (n + j))
+             (Bdd.dxor man (x j)
+                (Bdd.dand man (x ((j + 1) mod n)) (x ((j + 3) mod n))))))
+  in
+  let first = build () in
+  let second = build () in
+  Util.checki "no collection ran" 0 (Bdd.snapshot man).Bdd.Stats.gc_runs;
+  Util.checkb "both builds are the same edge" (Bdd.equal first second)
 
 let stats_labels_honest () =
   let man = Bdd.create () in
@@ -440,7 +444,7 @@ let clear_by_gc man = ignore (Bdd.gc man)
 (* 4096 slots that never grow: the touched-slot log starts at 1024
    entries and doubles to 2048, half the slots; larger ops overflow it
    into the full fill. *)
-let fixed_cache () = Bdd.create ~cache_bits:12 ~cache_bytes:0 ~auto_gc:false ()
+let fixed_cache () = Bdd.create ~cache_bits:12 ~cache_bytes:0 ()
 
 let reset_complete_fixed =
   Util.qtest ~count:60 "reset: clear_caches empties every filled slot"
@@ -460,9 +464,7 @@ let reset_complete_after_growth =
   Util.qtest ~count:40 "reset: growth, then clear_caches empties every slot"
     (gen_op ~vars:(QCheck2.Gen.int_range 6 9))
     (fun op ->
-       let man =
-         Bdd.create ~cache_bits:4 ~cache_bytes:(1024 * 32) ~auto_gc:false ()
-       in
+       let man = Bdd.create ~cache_bits:4 ~cache_bytes:(1024 * 32) () in
        let run () = cleared_run ~clear:Bdd.clear_caches man op in
        let e0, _, grew0 = run () in
        let rec settle emptied =
@@ -513,7 +515,8 @@ let suite =
     Alcotest.test_case "with_root protects" `Quick with_root_protects;
     Alcotest.test_case "eviction counters" `Quick eviction_counters;
     Alcotest.test_case "cache growth bounded" `Quick cache_growth_bounded;
-    Alcotest.test_case "auto gc triggers" `Quick auto_gc_triggers;
+    Alcotest.test_case "no collection without a caller" `Quick
+      no_collection_without_a_caller;
     Alcotest.test_case "stats labels honest" `Quick stats_labels_honest;
     Alcotest.test_case "stats delta windows" `Quick stats_delta;
     Alcotest.test_case "sat_count rejects undersized space" `Quick

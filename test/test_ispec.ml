@@ -115,7 +115,7 @@ let trivial_filter =
     (fun desc ->
        let s = Util.build_ispec_nonzero desc in
        I.trivial man s
-       = (Bdd.Cube.is_cube man s.I.c
+       = (Bdd.Cube.is_cube s.I.c
           || Bdd.leq man s.I.c s.I.f
           || Bdd.leq man s.I.c (Bdd.compl s.I.f)))
 

@@ -1,5 +1,5 @@
 (* Concurrent manager tier and the parallel hot loops: shared-store
-   interning from several domains, stop-the-world GC under load, and the
+   interning from several domains, collection once they join, and the
    bit-identity contract — every parallel code path must return the same
    canonical edges as its sequential twin. *)
 
@@ -27,7 +27,7 @@ let shared_canonicity () =
   Bdd.Shared.detach v2;
   Util.checki "detach deregisters" 1 (Bdd.Shared.view_count store)
 
-(* ----- stop-the-world GC empties every view's cache ----- *)
+(* ----- a collection empties every view's cache ----- *)
 
 let shared_gc_resets_view_caches () =
   let store = Bdd.Shared.create () in
@@ -175,15 +175,13 @@ let suite_csv_jobs_differential () =
 let stress_domains = 4
 let stress_applies = 10_000
 
-(* Domain [d]'s random build on [view].  Only rooted edges keep their
-   canonical node across a collection, so every edge carried from one
-   operation to the next is rooted: the accumulator at each step (the
-   new edge ref'd before the old one is deref'd, and before the view's
-   next operation), each partial result for the duration of its use.
-   Once rooted, each new accumulator is re-interned from its cofactors:
-   a node swept before its [ref_] would come back as a fresh one.
-   Returns the final accumulator, still rooted on [view], and the count
-   of such stale results. *)
+(* Domain [d]'s random build on [view].  The accumulator is rooted at
+   each step (the new edge ref'd before the old one is deref'd), each
+   partial result for the duration of its use.  Once rooted, each new
+   accumulator is re-interned from its cofactors: under concurrent
+   interning it must come back as the very same node.  Returns the final
+   accumulator, still rooted on [view], and the count of results that
+   did not. *)
 let stress_build view d =
   let st = Random.State.make [| d; 0xabcd |] in
   let nvars = 12 in
@@ -225,11 +223,8 @@ let multi_domain_stress () =
   let store = Bdd.Shared.create () in
   let man = Bdd.Shared.attach store in
   (* every domain hammers the same store with random applies on its own
-     view, rooting its accumulator at every step, so collection has real
-     roots to preserve and growth arms automatic collections that stop
-     the other domains mid-build.  A result is un-rooted between the
-     operation that made it and its [ref_]; the view keeps its latest
-     result through a collection another domain starts there. *)
+     view, rooting its accumulator at every step, so the collection after
+     the domains join has real roots to preserve *)
   let built =
     Exec.map ~jobs:stress_domains
       (fun d ->
@@ -237,8 +232,6 @@ let multi_domain_stress () =
       (List.init stress_domains Fun.id)
   in
   let t = Bdd.Shared.telemetry store in
-  Util.checkb "automatic collections ran during the builds"
-    (t.Bdd.Shared.gc_runs > 0);
   Util.checki "every result was still interned when rooted" 0
     (List.fold_left (fun acc (_, (_, stale)) -> acc + stale) 0 built);
   let kept = List.map (fun (d, (f, _)) -> (d, f)) built in
@@ -258,46 +251,6 @@ let multi_domain_stress () =
        Util.checkb "replayed build returns the kept edge" (Bdd.equal f replayed);
        Bdd.deref view replayed)
     kept
-
-(* ----- auto-GC suspension ----- *)
-
-(* A collection armed before [without_auto_gc] runs as the suspension
-   begins, so none fires inside it; growth inside it arms nothing for
-   later.  The same rule holds on a private manager and on a view. *)
-let suspension_runs_armed_gc_first () =
-  let check label man =
-    let st = Random.State.make [| 17 |] in
-    let x = Array.init 16 (Bdd.ithvar man) in
-    let pick () = x.(Random.State.int st 16) in
-    let runs () = (Bdd.snapshot man).Bdd.Stats.gc_runs in
-    let capacity () = (Bdd.snapshot man).Bdd.Stats.unique_capacity in
-    (* one operation at a time until one grows the table: that growth
-       armed a collection for the next operation boundary *)
-    let grow () =
-      let cap = capacity () in
-      let rec go f =
-        let t = Bdd.dand man (pick ()) (pick ()) in
-        if capacity () = cap then
-          let f = Bdd.dxor man f t in
-          if capacity () = cap then go f
-      in
-      go (Bdd.zero man)
-    in
-    Bdd.ref_ man x.(0);
-    grow ();
-    let armed = runs () in
-    Bdd.without_auto_gc man (fun () ->
-        Util.checki (label ^ ": armed collection ran as the suspension began")
-          (armed + 1) (runs ());
-        grow ();
-        Util.checki (label ^ ": nothing collects inside the suspension")
-          (armed + 1) (runs ()));
-    ignore (Bdd.dand man x.(1) x.(2));
-    Util.checki (label ^ ": growth inside the suspension armed nothing")
-      (armed + 1) (runs ())
-  in
-  check "private" (Bdd.create ());
-  check "view" (Bdd.Shared.attach (Bdd.Shared.create ~stripes:1 ()))
 
 (* ----- sift guard on shared managers ----- *)
 
@@ -328,8 +281,6 @@ let suite =
       suite_csv_jobs_differential;
     Alcotest.test_case "multi-domain intern stress + gc + audit" `Slow
       multi_domain_stress;
-    Alcotest.test_case "without_auto_gc runs an armed collection first" `Quick
-      suspension_runs_armed_gc_first;
     Alcotest.test_case "sift refuses shared multi-view manager" `Quick
       sift_refuses_multi_view;
     Alcotest.test_case "shared gc empties every view's cache" `Quick

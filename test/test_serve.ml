@@ -210,6 +210,15 @@ let serve_deadline_dnf_isolated () =
    | Error msg -> Alcotest.failf "transport error %s" msg);
   ignore (expect_ok "concurrent healthy request" (Domain.join healthy))
 
+(* Send [payload] as one raw frame on the client's connection and parse
+   the reply, so a test can choose the request's id itself. *)
+let raw_request c payload =
+  P.write_frame c.C.fd payload;
+  match P.read_frame c.C.fd with
+  | Ok (`Frame reply) -> P.parse_reply reply
+  | Ok `Eof -> Error "server closed the connection"
+  | Error msg -> Error msg
+
 let serve_error_replies () =
   with_server @@ fun _srv addr ->
   let c = C.connect addr in
@@ -225,6 +234,18 @@ let serve_error_replies () =
   (match C.reach c (P.Bench "no-such-bench") with
    | Ok { P.status = "error"; _ } -> ()
    | _ -> Alcotest.fail "unknown bench must be an error reply");
+  (* a request rejected while parsing is answered with its own id *)
+  (match
+     raw_request c
+       (J.print
+          (J.Obj
+             [ ("id", J.int 9); ("op", J.Str "minimize");
+               ("bdd", J.Str payload);
+               ("budget", J.Obj [ ("max_steps", J.int (-1)) ]) ]))
+   with
+   | Ok { P.status = "error"; reply_id; _ } ->
+     Util.checki "bad budget answered with its own id" 9 reply_id
+   | _ -> Alcotest.fail "negative max_steps must be an error reply");
   (* the connection survives malformed requests *)
   match C.ping c with
   | Ok { P.status = "ok"; _ } -> ()
@@ -247,6 +268,16 @@ let serve_repr_field () =
    | Ok { P.status = "error"; message = Some m; _ } ->
      Util.checkb "names the one representation served"
        (Util.contains m "\"bdd\"")
+   | _ -> Alcotest.fail "repr cbdd must be an error reply");
+  (match
+     raw_request c
+       (J.print
+          (J.Obj
+             [ ("id", J.int 7); ("op", J.Str "minimize");
+               ("bdd", J.Str payload); ("repr", J.Str "cbdd") ]))
+   with
+   | Ok { P.status = "error"; reply_id; _ } ->
+     Util.checki "repr error answered with its own id" 7 reply_id
    | _ -> Alcotest.fail "repr cbdd must be an error reply");
   ignore (expect_ok "plain minimize after the error"
             (C.minimize c (P.Store_text payload)))
@@ -336,7 +367,8 @@ let serve_trace_roundtrip () =
      Util.checkb "trace id byte-identical" (t.P.trace_id = trace_id);
      Util.checkb "sampled flag preserved" (t.P.sampled = false)
    | Ok _ -> Alcotest.fail "trace spec lost in round trip"
-   | Error msg -> Alcotest.failf "round-tripped request rejected: %s" msg);
+   | Error (_, msg) ->
+     Alcotest.failf "round-tripped request rejected: %s" msg);
   (* and end to end: the id lands verbatim in the flight recorder *)
   with_server @@ fun _srv addr ->
   let c = C.connect addr in

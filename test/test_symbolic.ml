@@ -145,7 +145,7 @@ let preimage_duality =
        let img = Img.image sym sym.Sym.init in
        (* Every single successor state's preimage intersects init. *)
        let ok = ref true in
-       Bdd.Cube.iter_cubes ~limit:8 man img (fun cube ->
+       Bdd.Cube.iter_cubes ~limit:8 img (fun cube ->
            (* complete the cube to a full state *)
            let full =
              Array.init (Sym.num_state_vars sym) (fun j ->

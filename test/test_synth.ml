@@ -17,7 +17,7 @@ let combinational_roundtrip =
        let ins =
          Array.init n (fun i -> Fsm.Netlist.input b (Printf.sprintf "x%d" i))
        in
-       let s = Fsm.Synth.signal_of_bdd man b ~var_signal:(fun v -> ins.(v)) g in
+       let s = Fsm.Synth.signal_of_bdd b ~var_signal:(fun v -> ins.(v)) g in
        Fsm.Netlist.output b "o" s;
        let nl = Fsm.Netlist.finalize b in
        List.for_all
