@@ -1,9 +1,9 @@
-(* Two-level synthesis with don't cares: ISOP covers and ZDD cube sets.
+(* Two-level synthesis with don't cares: ISOP covers.
 
    The same BCD 7-segment decoder as examples/fpga_mapping.ml, but mapped
    to a PLA: per-segment irredundant sum-of-products covers computed from
-   the interval [onset, onset + dc] (Minato-Morreale), pooled into one ZDD
-   cube set to measure sharing, and printed PLA-style. *)
+   the interval [onset, onset + dc] (Minato-Morreale), pooled to count the
+   cubes the segments share, and printed PLA-style. *)
 
 let segments =
   [
@@ -26,12 +26,11 @@ let pla_row nvars cube =
 let () =
   Obs.Logging.setup ();
   let man = Bdd.create () in
-  let zman = Bdd.Zdd.new_man () in
   let care =
     Logic.Truth_table.to_bdd man (Logic.Truth_table.create 4 (fun m -> m < 10))
   in
   Format.printf "PLA covers for the BCD 7-segment decoder (inputs x0..x3):@.@.";
-  let pooled = ref (Bdd.Zdd.empty zman) in
+  let pooled = ref [] in
   let total_cubes = ref 0 in
   let total_literals = ref 0 in
   List.iter
@@ -49,9 +48,7 @@ let () =
            cover);
        total_cubes := !total_cubes + List.length cover.Minimize.Isop.cubes;
        total_literals := !total_literals + Minimize.Isop.literal_count cover;
-       pooled :=
-         Bdd.Zdd.union zman !pooled
-           (Minimize.Isop.zdd_of_cover zman cover);
+       pooled := cover.Minimize.Isop.cubes @ !pooled;
        Format.printf "segment %c (%d cubes, %d literals):@." seg
          (List.length cover.Minimize.Isop.cubes)
          (Minimize.Isop.literal_count cover);
@@ -59,14 +56,8 @@ let () =
          (fun cube -> Format.printf "  %s 1@." (pla_row 4 cube))
          cover.Minimize.Isop.cubes)
     segments;
-  Format.printf
-    "@.totals: %d cube instances, %d literals; %d distinct cubes pooled \
-     (ZDD: %d nodes)@."
-    !total_cubes !total_literals
-    (Bdd.Zdd.count zman !pooled)
-    (Bdd.Zdd.node_count zman !pooled);
-  (* Round-trip sanity: the pooled ZDD reproduces each segment's cubes. *)
-  let all_sets = Bdd.Zdd.to_list zman !pooled in
-  let as_cubes = List.map Minimize.Isop.cube_of_set all_sets in
-  Format.printf "round trip through the literal encoding: %d cubes decoded@."
-    (List.length as_cubes)
+  let distinct =
+    List.sort_uniq compare (List.map (List.sort compare) !pooled)
+  in
+  Format.printf "@.totals: %d cube instances, %d literals; %d distinct cubes@."
+    !total_cubes !total_literals (List.length distinct)

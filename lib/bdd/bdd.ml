@@ -23,6 +23,4 @@ end
 module Cube = Cube
 module Reorder = Reorder
 module Store = Store
-module Zdd = Zdd
-module Add = Add
 module Dot = Dot

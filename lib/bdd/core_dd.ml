@@ -161,6 +161,12 @@ let bytes_per_cache_entry = 32                    (* 3 boxed-free ints + 1 point
    managers that fill little from paying for a large log. *)
 let cache_log ccap = Array.make (min 1024 (ccap / 2)) 0
 
+(* Variable indices run from 0 to [max_vars - 1].  The paper's machines
+   use a few hundred variables; the bound keeps an index read from
+   untrusted text (a serialized DAG) from growing the projection table
+   without limit. *)
+let max_vars = 1 lsl 16
+
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
 let make_store ~solo ~nvars ~stripes ~min_capacity =
@@ -498,7 +504,9 @@ let mk man var ~hi:h ~lo:l =
   else intern man var ~hi:h ~lo:l
 
 let ithvar man i =
-  if i < 0 then invalid_arg "Core_dd.ithvar: negative variable";
+  if i < 0 || i >= max_vars then
+    invalid_arg
+      (Printf.sprintf "Core_dd.ithvar: variable %d outside [0, %d)" i max_vars);
   if i >= man.vars then begin
     man.vars <- i + 1;
     let sh = man.store in
@@ -725,10 +733,6 @@ let with_budget man b k =
   let prev = man.budget in
   man.budget <- Some b;
   Fun.protect ~finally:(fun () -> man.budget <- prev) k
-
-let check_budget man =
-  budget_entry man;
-  budget_tick man
 
 (* ----- Boolean operation kernels ----- *)
 

@@ -191,13 +191,6 @@ val with_budget : man -> Budget.t -> (unit -> 'a) -> 'a
 (** Run with the given budget installed, restoring the previously
     installed one on exit (also on exceptions). *)
 
-val check_budget : man -> unit
-(** Manually consult the installed budget (counts as one step, and polls
-    the deadline and cancellation callback immediately).  For
-    long-running loops outside the kernels — e.g. a reachability
-    fixpoint — that want deadline and cancellation responsiveness even
-    when individual operations keep hitting the cache. *)
-
 (** {1 Engine events}
 
     Rare structural events — garbage collections, computed-cache growth
@@ -270,9 +263,15 @@ val stats : man -> string
 val one : man -> t
 val zero : man -> t
 
+val max_vars : int
+(** The bound on variable indices: every variable lies in
+    [[0, max_vars)] (65536 variables, far above the few hundred the
+    paper's machines use). *)
+
 val ithvar : man -> int -> t
-(** [ithvar man i] is the projection function of variable [i] ([i >= 0]);
-    creates intermediate variables as needed. *)
+(** [ithvar man i] is the projection function of variable [i];
+    creates intermediate variables as needed.
+    @raise Invalid_argument unless [0 <= i < max_vars]. *)
 
 val is_one : t -> bool
 val is_zero : t -> bool

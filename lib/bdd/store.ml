@@ -91,7 +91,12 @@ let load man text =
               (lineno + 1) line))
     | [ "node"; id; var; hi; lo ] -> begin
         match (int_of_string_opt id, int_of_string_opt var) with
-        | (Some id, Some var) when id > 0 && var >= 0 ->
+        | (Some _, Some var) when var < 0 || var >= Core_dd.max_vars ->
+          raise
+            (Bad
+               (Printf.sprintf "line %d: variable %d outside [0, %d)"
+                  (lineno + 1) var Core_dd.max_vars))
+        | (Some id, Some var) when id > 0 ->
           if Hashtbl.mem table id then
             raise (Bad (Printf.sprintf "duplicate node id %d" id));
           let hi = parse_edge hi and lo = parse_edge lo in

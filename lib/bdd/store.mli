@@ -24,9 +24,9 @@ val save_file : string -> Core_dd.man -> (string * Core_dd.t) list -> unit
 
 val load : Core_dd.man -> string -> ((string * Core_dd.t) list, string) result
 (** Parse and rebuild in the given manager.  Fails on malformed input,
-    a missing header, unknown ids, duplicate node ids or root names, or
-    order violations ([var] must be strictly smaller than the children's
-    variables).  Never raises on malformed input: every syntax problem
-    is an [Error]. *)
+    a missing header, unknown ids, duplicate node ids or root names, a
+    variable outside [[0, Core_dd.max_vars)], or order violations ([var]
+    must be strictly smaller than the children's variables).  Never
+    raises on malformed input: every syntax problem is an [Error]. *)
 
 val load_file : Core_dd.man -> string -> ((string * Core_dd.t) list, string) result

@@ -12,6 +12,4 @@ module Equiv = Equiv
 module Explicit = Explicit
 module Synth = Synth
 module Simcheck = Simcheck
-module Depth = Depth
 module Trace = Trace
-module Invariant = Invariant

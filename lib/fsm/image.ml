@@ -8,9 +8,6 @@ type par = Minimize.Par.t
 
 let par ~pool ~store = Minimize.Par.make ~pool ~store
 
-let par_for ?pool (sym : Symbolic.t) =
-  Minimize.Par.for_man ?pool sym.Symbolic.man
-
 let strategy_name = function
   | Monolithic -> "monolithic"
   | Partitioned -> "partitioned"

@@ -32,11 +32,6 @@ type par = Minimize.Par.t
 
 val par : pool:Exec.Pool.t -> store:Bdd.Shared.store -> par
 
-val par_for : ?pool:Exec.Pool.t -> Symbolic.t -> par option
-(** [par_for ?pool sym] is [Some] context iff [pool] is given {e and}
-    the machine's manager is a shared-store view — the convenient guard
-    for CLI [-j] plumbing. *)
-
 val strategy_name : strategy -> string
 (** ["monolithic"], ["partitioned"], ["clustered"] or ["range"] (CLI and
     trace labels). *)

@@ -199,9 +199,6 @@ let next_to_current t =
 let current_to_next t =
   Array.to_list (Array.mapi (fun j y -> (t.state_vars.(j), y)) t.next_vars)
 
-let eval_outputs t ~state =
-  List.map (fun (n, f) -> (n, Bdd.dand t.man f state)) t.output_fns
-
 let num_state_vars t = Array.length t.state_vars
 
 let restrict_to_care_states t ~care ~minimize =

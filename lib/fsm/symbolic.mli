@@ -66,11 +66,6 @@ val next_to_current : t -> (int * int) list
 
 val current_to_next : t -> (int * int) list
 
-val eval_outputs : t -> state:Bdd.t -> (string * Bdd.t) list
-(** Outputs with state variables constrained to the given state set
-    (existentially abstracted over states satisfying it is left to the
-    caller; this just conjoins). *)
-
 val num_state_vars : t -> int
 
 val restrict_to_care_states :

@@ -24,7 +24,7 @@ let input_assignment (sym : Symbolic.t) condition =
        (name, match List.assoc_opt v cube with Some b -> b | None -> false))
     sym.input_vars
 
-let to_states ?(max_iterations = max_int) ?final_condition man
+let to_states ?(max_iterations = max_int) ~final_condition man
     (sym : Symbolic.t) ~bad =
   let state_vars = Symbolic.state_support sym in
   (* Forward rings until one touches a bad state. *)
@@ -75,11 +75,8 @@ let to_states ?(max_iterations = max_int) ?final_condition man
       input_assignment sym condition
     in
     let spine = List.init k step_input in
-    (match final_condition with
-     | None -> Some spine
-     | Some cond ->
-       let final =
-         input_assignment sym
-           (Bdd.exists man state_vars (Bdd.dand man cond states.(k)))
-       in
-       Some (spine @ [ final ]))
+    let final =
+      input_assignment sym
+        (Bdd.exists man state_vars (Bdd.dand man final_condition states.(k)))
+    in
+    Some (spine @ [ final ])

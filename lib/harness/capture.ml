@@ -71,8 +71,6 @@ let default_config =
       };
   }
 
-let with_entries entries c = { c with engine = { c.engine with entries } }
-
 let with_lower_bound_cubes lower_bound_cubes c =
   { c with engine = { c.engine with lower_bound_cubes } }
 

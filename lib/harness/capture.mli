@@ -129,7 +129,6 @@ val default_config : config
 
 (** {2 Builders} *)
 
-val with_entries : Minimize.Registry.entry list -> config -> config
 val with_lower_bound_cubes : int -> config -> config
 val with_self_product : bool -> config -> config
 val with_jobs : int -> config -> config

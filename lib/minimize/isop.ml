@@ -87,16 +87,3 @@ let is_irredundant man ~lower t =
       (not (Bdd.leq man lower others)) && check (cube :: prefix) rest
   in
   check [] fns
-
-(* Literal encoding for ZDD cube sets: +v -> 2v, -v -> 2v+1. *)
-let literal_element (v, phase) = if phase then 2 * v else (2 * v) + 1
-
-let cube_of_set set =
-  List.map
-    (fun e -> (e / 2, e mod 2 = 0))
-    (List.sort compare set)
-
-let cubes_to_zdd zman cubes =
-  Bdd.Zdd.of_list zman (List.map (List.map literal_element) cubes)
-
-let zdd_of_cover zman t = cubes_to_zdd zman t.cubes

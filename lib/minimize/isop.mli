@@ -31,14 +31,3 @@ val literal_count : t -> int
 val is_irredundant : Bdd.man -> lower:Bdd.t -> t -> bool
 (** Check that every cube is necessary: dropping any one uncovers part of
     [lower] (exposed for testing and for downstream assertions). *)
-
-val cubes_to_zdd : Bdd.Zdd.man -> Bdd.Cube.cube list -> Bdd.Zdd.t
-(** Represent a cube list as a ZDD family over literal elements
-    (positive literal of variable [v] ↦ element [2v], negative ↦
-    [2v + 1]) — the standard cube-set encoding for two-level algebra. *)
-
-val zdd_of_cover : Bdd.Zdd.man -> t -> Bdd.Zdd.t
-(** {!cubes_to_zdd} of the cover's cubes. *)
-
-val cube_of_set : int list -> Bdd.Cube.cube
-(** Inverse of the literal encoding (sorted input). *)

@@ -14,7 +14,6 @@ module Sibling = Sibling
 module Graph = Graph
 module Level = Level
 module Schedule = Schedule
-module Vector = Vector
 module Isop = Isop
 module Exact = Exact
 module Lower_bound = Lower_bound

@@ -7,11 +7,6 @@ type t = { pool : Exec.Pool.t; store : Bdd.Shared.store }
 
 let make ~pool ~store = { pool; store }
 
-let for_man ?pool man =
-  match (Bdd.Shared.store_of man, pool) with
-  | Some store, Some pool -> Some { pool; store }
-  | _ -> None
-
 (* Deterministic parallel map: results in list order, each task on a
    checked-out view.  The closure must combine only edges of this
    store. *)

@@ -12,10 +12,6 @@ type t = { pool : Exec.Pool.t; store : Bdd.Shared.store }
 
 val make : pool:Exec.Pool.t -> store:Bdd.Shared.store -> t
 
-val for_man : ?pool:Exec.Pool.t -> Bdd.man -> t option
-(** [Some] context iff [pool] is given {e and} the manager is a
-    shared-store view — the usual guard when plumbing a [-j] flag. *)
-
 val map : t -> (Bdd.man -> 'a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] runs [f view x] for each element on the pool, results
     in list order.  [f] must keep the view inside the call. *)

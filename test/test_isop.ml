@@ -99,25 +99,6 @@ let registry_entry =
          Util.tt_is_cover ~nvars s
            (e.Minimize.Registry.run (Minimize.Ctx.of_man man) s))
 
-let zdd_bridge =
-  Util.qtest ~count:150 "cube list <-> ZDD literal encoding round trip"
-    Util.gen_instance
-    (fun desc ->
-       let s = Util.build_ispec_nonzero desc in
-       let r = Isop.compute man s in
-       let zman = Bdd.Zdd.new_man () in
-       let z = Isop.zdd_of_cover zman r in
-       (* distinct cubes in = sets out *)
-       let distinct =
-         List.sort_uniq compare (List.map (List.sort compare) r.Isop.cubes)
-       in
-       Bdd.Zdd.count zman z = List.length distinct
-       && List.sort compare
-            (List.map
-               (fun set -> List.sort compare (Isop.cube_of_set set))
-               (Bdd.Zdd.to_list zman z))
-          = distinct)
-
 let suite =
   [
     in_interval;
@@ -128,5 +109,4 @@ let suite =
     Alcotest.test_case "degenerate intervals" `Quick degenerate_cases;
     Alcotest.test_case "BCD decoder segment" `Quick bcd_example;
     registry_entry;
-    zdd_bridge;
   ]

@@ -9,8 +9,6 @@ let suites =
     ("pla", Test_pla.suite);
     ("reorder", Test_reorder.suite);
     ("store", Test_store.suite);
-    ("zdd", Test_zdd.suite);
-    ("add", Test_add.suite);
     ("ispec", Test_ispec.suite);
     ("matching", Test_matching.suite);
     ("sibling", Test_sibling.suite);
@@ -18,7 +16,6 @@ let suites =
     ("graph", Test_graph.suite);
     ("exact+bounds", Test_exact_bounds.suite);
     ("schedule+registry", Test_schedule.suite);
-    ("vector", Test_vector.suite);
     ("isop", Test_isop.suite);
     ("netlist", Test_netlist.suite);
     ("blif", Test_blif.suite);
@@ -28,7 +25,6 @@ let suites =
     ("explicit", Test_explicit.suite);
     ("synth", Test_synth.suite);
     ("faults", Test_faults.suite);
-    ("invariant", Test_invariant.suite);
     ("circuits", Test_circuits.suite);
     ("harness", Test_harness.suite);
     ("ablations", Test_ablations.suite);

@@ -9,6 +9,19 @@ let reached_count name build expected () =
   let _, st = Fsm.Reach.reachable sym in
   Alcotest.(check (float 0.01)) name expected st.Fsm.Reach.reached_states
 
+let tlc_safety () =
+  (* the traffic-light controller never shows green both ways:
+     AG ¬(hl_green ∧ fl_green) over the symbolic outputs *)
+  let nl = Circuits.Tlc.make () in
+  let man = Bdd.create () in
+  let sym = Sym.of_netlist man nl in
+  let hg = List.assoc "hl_green" sym.Sym.output_fns in
+  let fg = List.assoc "fl_green" sym.Sym.output_fns in
+  let both = Bdd.dand man hg fg in
+  let bad = Bdd.exists man (Sym.input_support sym) both in
+  let reached, _ = Fsm.Reach.reachable sym in
+  Util.checkb "never both green" (Bdd.is_zero (Bdd.dand man reached bad))
+
 let minimizer_independent =
   (* The reached set must not depend on the frontier minimizer. *)
   Util.qtest ~count:15 "reached set independent of the minimizer"
@@ -166,6 +179,7 @@ let suite =
       (reached_count "lfsr6" (fun () -> Circuits.Lfsr.make ~width:6 ()) 63.0);
     Alcotest.test_case "bcd reaches 10 states" `Quick
       (reached_count "bcd" (fun () -> Circuits.Counter.modulo ~width:4 ~modulus:10) 10.0);
+    Alcotest.test_case "tlc never both green" `Quick tlc_safety;
     minimizer_independent;
     strategy_independent;
     Alcotest.test_case "max_iterations" `Quick max_iterations_enforced;

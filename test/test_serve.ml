@@ -251,6 +251,29 @@ let serve_error_replies () =
   | Ok { P.status = "ok"; _ } -> ()
   | _ -> Alcotest.fail "connection unusable after errors"
 
+(* A node variable at or past [Bdd.max_vars] is refused while parsing:
+   the minimize gets an error reply carrying its own id, a session open
+   of the same text fails, and the one worker stays free to serve. *)
+let serve_variable_bound () =
+  let hostile = "bdd 1\nnode 1 4611686018427387000 0 !0\nroot f 1\n" in
+  with_server ~workers:1 @@ fun _srv addr ->
+  let c = C.connect addr in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  (match
+     raw_request c
+       (J.print
+          (J.Obj
+             [ ("id", J.int 11); ("op", J.Str "minimize");
+               ("bdd", J.Str hostile); ("heuristic", J.Str "sched") ]))
+   with
+   | Ok { P.status = "error"; reply_id; message = Some m; _ } ->
+     Util.checki "answered with its own id" 11 reply_id;
+     Util.checkb "names the variable" (Util.contains m "variable")
+   | _ -> Alcotest.fail "an out-of-range variable must be an error reply");
+  Util.checkb "session open refused"
+    (Result.is_error (C.session_open c hostile));
+  ignore (expect_ok "the worker still serves" (C.minimize c (P.Store_text payload)))
+
 (* Plain ROBDDs are the only representation served: an explicit
    "repr":"bdd" is a normal request, any other value an error reply
    naming "bdd", after which the connection still serves. *)
@@ -946,6 +969,7 @@ let suite =
     Alcotest.test_case "deadline dnf does not disturb others" `Quick
       serve_deadline_dnf_isolated;
     Alcotest.test_case "error replies" `Quick serve_error_replies;
+    Alcotest.test_case "variable index bound" `Quick serve_variable_bound;
     Alcotest.test_case "repr field: bdd only" `Quick serve_repr_field;
     Alcotest.test_case "reach and equiv ops" `Quick serve_reach_equiv;
     Alcotest.test_case "metrics endpoint" `Quick serve_metrics;

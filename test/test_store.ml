@@ -121,6 +121,26 @@ let duplicate_root_rejected () =
   | Error msg -> Util.checkb "mentions the name" (Util.contains msg "f")
   | Ok _ -> Alcotest.fail "duplicate root name must be rejected"
 
+let variable_bound () =
+  (* a variable index at or past [max_vars] is an [Error], not an
+     unbounded growth of the projection table *)
+  let man = Bdd.create () in
+  let node var = Printf.sprintf "bdd 1\nnode 1 %d 0 !0\nroot f 1\n" var in
+  (match Bdd.Store.load man (node 4611686018427387000) with
+   | Error msg -> Util.checkb "names the variable" (Util.contains msg "variable")
+   | Ok _ -> Alcotest.fail "a huge variable index must be rejected");
+  Util.checkb "max_vars rejected"
+    (Result.is_error (Bdd.Store.load man (node Bdd.max_vars)));
+  Util.checkb "negative rejected" (Result.is_error (Bdd.Store.load man (node (-1))));
+  (match Bdd.Store.load man (node (Bdd.max_vars - 1)) with
+   | Ok [ ("f", f) ] ->
+     Util.checki "the last index loads" (Bdd.max_vars - 1) (Bdd.topvar f)
+   | Ok _ | Error _ -> Alcotest.fail "max_vars - 1 must load");
+  Util.checkb "ithvar raises"
+    (match Bdd.ithvar man Bdd.max_vars with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
+
 let save_rejects_non_roundtrippable_names () =
   let man = Bdd.create () in
   let f = Bdd.ithvar man 0 in
@@ -195,6 +215,7 @@ let suite =
     roundtrip_other_manager;
     Alcotest.test_case "header placement" `Quick header_placement;
     Alcotest.test_case "duplicate root rejected" `Quick duplicate_root_rejected;
+    Alcotest.test_case "variable index bound" `Quick variable_bound;
     Alcotest.test_case "save rejects non-round-trippable names" `Quick
       save_rejects_non_roundtrippable_names;
     roundtrip_complemented;
