@@ -673,7 +673,7 @@ let bench_cmd =
               machines (optionally on several worker domains; the \
               result data is byte-identical at any $(b,-j)) and writes \
               a machine-readable JSON record: schema \
-              $(b,bddmin-bench-engine/11) with per-minimizer size/time \
+              $(b,bddmin-bench-engine/12) with per-minimizer size/time \
               totals, capture wall time, the image strategy, the \
               resource limits with any DNF rows they produced, a serve \
               throughput/latency section (see $(b,--serve-requests)), \
@@ -701,7 +701,6 @@ let profile_cmd =
       (* Capture into a memory ring sized for a full bench run, then fold
          the span stream into a self/total-time table. *)
       let sink = Obs.Trace.memory ~capacity:2_000_000 () in
-      Obs.Probe.reset ();
       let config =
         Harness.Capture.(
           default_config |> with_max_calls max_calls
@@ -722,7 +721,7 @@ let profile_cmd =
            " (earliest spans are partial)"
          else "")
         (Obs.Trace.total_dropped ());
-      Format.printf "@.%a" Obs.Probe.pp ();
+      Printf.printf "\n%s" (Obs.Metrics.expose ());
       0
   in
   let spec =
@@ -751,7 +750,9 @@ let profile_cmd =
               trace sink and prints where the time went, per span name \
               (schedule windows, sibling and level passes, reachability \
               iterations, each registry minimizer), followed by the \
-              engine probes (counters and histograms).";
+              process's metrics registry in Prometheus text format \
+              (matching-graph sizes, sibling matches, reachability \
+              iterations).";
          ])
     Term.(
       const (fun () a b c -> run a b c)

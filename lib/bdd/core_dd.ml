@@ -1251,28 +1251,38 @@ module Stats = struct
     if s.cache_lookups = 0 then 0.0
     else float_of_int s.cache_hits /. float_of_int s.cache_lookups
 
-  let pp ppf s =
-    Format.fprintf ppf
-      "@[<v>vars            : %d@,\
-       live nodes      : %d (peak %d, interned total %d)@,\
-       unique capacity : %d slots@,\
-       external refs   : %d@,\
-       computed cache  : %d/%d entries@,\
-       cache traffic   : %d lookups, %d hits (%.1f%%), %d stores, %d evictions@,\
-       recursions      : ite %d, and %d, xor %d, constrain %d, restrict %d, \
-       quantify %d, and-exists %d@,\
-       interned cubes  : %d@,\
-       garbage collect : %d runs, %d nodes reclaimed@]"
-      s.vars s.live_nodes s.peak_live_nodes s.interned_total s.unique_capacity
-      s.external_refs s.cache_entries s.cache_capacity s.cache_lookups
-      s.cache_hits
-      (100.0 *. hit_rate s)
-      s.cache_stores s.cache_evictions s.ite_recursions s.and_recursions
-      s.xor_recursions s.constrain_recursions
-      s.restrict_recursions s.quantify_recursions s.and_exists_recursions
-      s.interned_cubes s.gc_runs s.gc_reclaimed
+  (* The one spelled-out list of the counters: every printed, summed or
+     serialized view derives from it. *)
+  let fields s =
+    [
+      ("vars", s.vars);
+      ("live_nodes", s.live_nodes);
+      ("peak_live_nodes", s.peak_live_nodes);
+      ("interned_total", s.interned_total);
+      ("unique_capacity", s.unique_capacity);
+      ("external_refs", s.external_refs);
+      ("cache_entries", s.cache_entries);
+      ("cache_capacity", s.cache_capacity);
+      ("cache_lookups", s.cache_lookups);
+      ("cache_hits", s.cache_hits);
+      ("cache_stores", s.cache_stores);
+      ("cache_evictions", s.cache_evictions);
+      ("ite_recursions", s.ite_recursions);
+      ("and_recursions", s.and_recursions);
+      ("xor_recursions", s.xor_recursions);
+      ("constrain_recursions", s.constrain_recursions);
+      ("restrict_recursions", s.restrict_recursions);
+      ("quantify_recursions", s.quantify_recursions);
+      ("and_exists_recursions", s.and_exists_recursions);
+      ("interned_cubes", s.interned_cubes);
+      ("gc_runs", s.gc_runs);
+      ("gc_reclaimed", s.gc_reclaimed);
+    ]
 
-  let to_string s = Format.asprintf "%a" pp s
+  let pp ppf s =
+    Format.fprintf ppf "@[<v>";
+    List.iter (fun (k, v) -> Format.fprintf ppf "%-21s %d@," k v) (fields s);
+    Format.fprintf ppf "%-21s %.1f%%@]" "cache_hit_rate" (100.0 *. hit_rate s)
 
   (* Per-task attribution: monotone work counters are subtracted, level
      quantities (sizes, capacities, occupancy) are taken from [after] —
@@ -1340,16 +1350,6 @@ let snapshot man : Stats.t =
     gc_runs = man.gc_runs;
     gc_reclaimed = man.gc_nodes;
   }
-
-let stats man =
-  let s = snapshot man in
-  Printf.sprintf
-    "vars=%d live=%d peak=%d interned=%d cache=%d/%d hits=%.1f%% gc_runs=%d \
-     reclaimed=%d"
-    s.Stats.vars s.Stats.live_nodes s.Stats.peak_live_nodes
-    s.Stats.interned_total s.Stats.cache_entries s.Stats.cache_capacity
-    (100.0 *. Stats.hit_rate s)
-    s.Stats.gc_runs s.Stats.gc_reclaimed
 
 (* Structural audit of the manager's store: every stored node satisfies
    the canonical-form invariants, no (var, then, else) key appears

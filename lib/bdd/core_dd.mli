@@ -247,16 +247,16 @@ module Stats : sig
       manager, all counter fields are non-negative, and zero when the
       bracketed work was fully served from the computed cache. *)
 
+  val fields : t -> (string * int) list
+  (** Every counter as [(record field name, value)], in declaration
+      order. *)
+
   val pp : Format.formatter -> t -> unit
-  val to_string : t -> string
+  (** One [name value] line per {!fields} entry, then the hit rate. *)
 end
 
 val snapshot : man -> Stats.t
 (** Current engine statistics. *)
-
-val stats : man -> string
-(** One-line human-readable manager statistics (a condensed
-    {!snapshot}). *)
 
 (** {1 Constants, variables and structure} *)
 

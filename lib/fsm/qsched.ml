@@ -30,6 +30,21 @@ let bits_create words = Array.make (max 1 words) 0
 let bits_set b v = b.(v / 63) <- b.(v / 63) lor (1 lsl (v mod 63))
 let bits_mem b v = b.(v / 63) land (1 lsl (v mod 63)) <> 0
 
+let clusters_hist =
+  Obs.Metrics.(
+    handle
+      (histogram ~help:"Clusters per quantification schedule (log2 buckets)"
+         "bddmin_fsm_qsched_clusters"))
+
+let vars_early_hist =
+  Obs.Metrics.(
+    handle
+      (histogram
+         ~help:
+           "Variables quantified before the last cluster, per schedule \
+            (log2 buckets)"
+         "bddmin_fsm_qsched_vars_early"))
+
 let build man ~parts ~quantified ~cluster_bound =
   Obs.Trace.with_span "fsm.qsched" @@ fun sp ->
   let quantified = List.sort_uniq compare quantified in
@@ -138,6 +153,6 @@ let build man ~parts ~quantified ~cluster_bound =
   Obs.Trace.add sp "clusters" (Obs.Trace.Int n);
   Obs.Trace.add sp "cluster_bound" (Obs.Trace.Int cluster_bound);
   Obs.Trace.add sp "vars_early" (Obs.Trace.Int vars_early);
-  Obs.Probe.observe "qsched.clusters" n;
-  Obs.Probe.observe "qsched.vars_early" vars_early;
+  Obs.Metrics.observe clusters_hist n;
+  Obs.Metrics.observe vars_early_hist vars_early;
   { clusters; pre_quantify; cluster_bound; vars_early }

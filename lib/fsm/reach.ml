@@ -22,6 +22,12 @@ let constrain_minimizer man (s : Minimize.Ispec.t) =
 
 let no_minimizer _man (s : Minimize.Ispec.t) = s.Minimize.Ispec.f
 
+let iterations_hist =
+  Obs.Metrics.(
+    handle
+      (histogram ~help:"Image iterations per reachability run (log2 buckets)"
+         "bddmin_fsm_reach_iterations"))
+
 let reachable ?strategy ?cluster_bound ?par ?(minimize = constrain_minimizer)
     ?(max_iterations = max_int) ?(on_instance = fun ~iteration:_ _ -> ())
     ?(on_image_constrain = fun ~iteration:_ _ -> ()) ?resume
@@ -103,7 +109,7 @@ let reachable ?strategy ?cluster_bound ?par ?(minimize = constrain_minimizer)
   Obs.Trace.add reach_sp "iterations" (Obs.Trace.Int iterations);
   Obs.Trace.add reach_sp "peak_frontier_nodes" (Obs.Trace.Int !peak_frontier);
   Obs.Trace.add reach_sp "peak_reached_nodes" (Obs.Trace.Int !peak_reached);
-  Obs.Probe.observe "reach.iterations" iterations;
+  Obs.Metrics.observe iterations_hist iterations;
   let stats =
     {
       iterations;

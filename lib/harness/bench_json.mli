@@ -1,10 +1,10 @@
 (** The machine-readable benchmark record ([BENCH_engine.json]).
 
-    One JSON document per benchmark run, schema ["bddmin-bench-engine/11"],
+    One JSON document per benchmark run, schema ["bddmin-bench-engine/12"],
     with every key always present:
 
     {v
-    schema       string  "bddmin-bench-engine/11"
+    schema       string  "bddmin-bench-engine/12"
     jobs         int     worker domains used for the capture suite
     quick        bool    small sub-suite?
     max_calls    int     per-benchmark cap on measured calls
@@ -21,7 +21,8 @@
                    dnf_replies, partial_replies, busy_replies,
                    error_replies, telemetry, server }
                  or null when the serve phase was skipped
-    engine       Bdd.Stats.t counters (summed over the suite's managers)
+    engine       every Bdd.Stats.fields counter, summed over the suite's
+                 managers, then cache_hit_rate (hits per lookup)
     v}
 
     The serve [telemetry] object is
@@ -62,7 +63,9 @@
     workload; [/11] dropped the top-level [repr] field, the
     per-minimizer [total_chain_size] column and the chain-reduction
     ablation section, since plain ROBDDs are the only node
-    representation.
+    representation; [/12] added the [vars] and [external_refs] engine
+    counters (the section now lists every {!Bdd.Stats.fields} entry)
+    and prints the document on one line.
 
     The document is a record of one run, written by [bddmin bench];
     performance comparisons across changes belong to the repo
@@ -79,7 +82,7 @@ val render :
   capture_seconds:float ->
   phases:(string * float) list ->
   names:string list ->
-  engine:Bdd.Stats.t ->
+  engine:(string * int) list ->
   dnf:(string * string) list ->
   Capture.call list ->
   string
@@ -100,7 +103,7 @@ val write :
   capture_seconds:float ->
   phases:(string * float) list ->
   names:string list ->
-  engine:Bdd.Stats.t ->
+  engine:(string * int) list ->
   dnf:(string * string) list ->
   Capture.call list ->
   unit

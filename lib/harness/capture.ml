@@ -340,64 +340,9 @@ let summary_messages (b : Circuits.Registry.bench) (r : bench_result) =
   | None -> []
   | Some reason -> [ Printf.sprintf "  DNF(%s)" reason ]
 
-(* Field-wise sum of per-benchmark manager statistics: a totals view of
-   the whole suite (occupancy figures add up because the managers are
-   disjoint). *)
-let add_stats (a : Bdd.Stats.t) (b : Bdd.Stats.t) : Bdd.Stats.t =
-  {
-    vars = a.vars + b.vars;
-    live_nodes = a.live_nodes + b.live_nodes;
-    peak_live_nodes = a.peak_live_nodes + b.peak_live_nodes;
-    interned_total = a.interned_total + b.interned_total;
-    unique_capacity = a.unique_capacity + b.unique_capacity;
-    external_refs = a.external_refs + b.external_refs;
-    cache_entries = a.cache_entries + b.cache_entries;
-    cache_capacity = a.cache_capacity + b.cache_capacity;
-    cache_lookups = a.cache_lookups + b.cache_lookups;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_stores = a.cache_stores + b.cache_stores;
-    cache_evictions = a.cache_evictions + b.cache_evictions;
-    ite_recursions = a.ite_recursions + b.ite_recursions;
-    and_recursions = a.and_recursions + b.and_recursions;
-    xor_recursions = a.xor_recursions + b.xor_recursions;
-    constrain_recursions = a.constrain_recursions + b.constrain_recursions;
-    restrict_recursions = a.restrict_recursions + b.restrict_recursions;
-    quantify_recursions = a.quantify_recursions + b.quantify_recursions;
-    and_exists_recursions = a.and_exists_recursions + b.and_exists_recursions;
-    interned_cubes = a.interned_cubes + b.interned_cubes;
-    gc_runs = a.gc_runs + b.gc_runs;
-    gc_reclaimed = a.gc_reclaimed + b.gc_reclaimed;
-  }
-
-let zero_stats : Bdd.Stats.t =
-  {
-    vars = 0;
-    live_nodes = 0;
-    peak_live_nodes = 0;
-    interned_total = 0;
-    unique_capacity = 0;
-    external_refs = 0;
-    cache_entries = 0;
-    cache_capacity = 0;
-    cache_lookups = 0;
-    cache_hits = 0;
-    cache_stores = 0;
-    cache_evictions = 0;
-    ite_recursions = 0;
-    and_recursions = 0;
-    xor_recursions = 0;
-    constrain_recursions = 0;
-    restrict_recursions = 0;
-    quantify_recursions = 0;
-    and_exists_recursions = 0;
-    interned_cubes = 0;
-    gc_runs = 0;
-    gc_reclaimed = 0;
-  }
-
 type suite = {
   suite_calls : call list;
-  engine : Bdd.Stats.t;
+  engine : (string * int) list;
   suite_dnf : (string * string) list;
 }
 
@@ -448,8 +393,14 @@ let run_suite_stats ?(config = default_config) ?(progress = default_progress)
   in
   {
     suite_calls = List.concat_map (fun r -> r.calls) results;
+    (* the managers are disjoint, so occupancy figures add up too *)
     engine =
-      List.fold_left (fun acc r -> add_stats acc r.stats) zero_stats results;
+      (match List.map (fun r -> Bdd.Stats.fields r.stats) results with
+       | [] -> []
+       | first :: rest ->
+         List.fold_left
+           (List.map2 (fun (k, a) (_, b) -> (k, a + b)))
+           first rest);
     suite_dnf =
       List.concat
         (List.map2

@@ -171,11 +171,12 @@ val run_bench_stats :
 
 type suite = {
   suite_calls : call list;
-  engine : Bdd.Stats.t;
-  (** the field-wise {e sum} of every benchmark manager's final
-      statistics — a totals view of the engine work the whole suite did
-      (managers are disjoint, so occupancy figures add up too).  This is
-      what the bench baseline's [engine] section records. *)
+  engine : (string * int) list;
+  (** the pointwise {e sum} of every benchmark manager's final
+      {!Bdd.Stats.fields} — a totals view of the engine work the whole
+      suite did (managers are disjoint, so occupancy figures add up
+      too).  This is what the bench baseline's [engine] section
+      records. *)
   suite_dnf : (string * string) list;
   (** benchmarks whose driver DNF'd, as [(bench, reason_label)] rows in
       suite order; [[]] when every fixpoint completed *)

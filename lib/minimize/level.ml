@@ -64,7 +64,7 @@ let chunk k xs =
   go [] [] 0 xs
 
 (* Matching-graph statistics accumulated across the chunks of one
-   level pass, for the "level.pass" trace span and the probes.  The
+   level pass, for the "level.pass" trace span and the registry.  The
    edge counters wrap the criterion closures handed to [Graph]:
    [clique_cover] materializes the whole adjacency matrix, so for the
    UMG (tsm) the probed count is the exact edge-slot count; the DMG
@@ -79,6 +79,25 @@ type graph_stats = {
 
 let fresh_graph_stats () =
   { vertices = 0; edges_probed = 0; edges_matched = 0; cliques = 0 }
+
+let clique_size_hist =
+  Obs.Metrics.(
+    handle
+      (histogram
+         ~help:"Sizes of the multi-vertex cliques covering a UMG (log2 buckets)"
+         "bddmin_minimize_level_clique_size"))
+
+let graph_vertices_hist =
+  Obs.Metrics.(
+    handle
+      (histogram ~help:"Matching-graph vertices per level pass (log2 buckets)"
+         "bddmin_minimize_level_graph_vertices"))
+
+let edges_probed_total =
+  Obs.Metrics.(
+    handle
+      (counter ~help:"Matching-graph edges evaluated by level passes"
+         "bddmin_minimize_level_edges_probed_total"))
 
 (* Solve FMM on one chunk of gathered pairs and record the replacements in
    [subst] (keyed by the (f, c) edge uids of each original pair). *)
@@ -147,7 +166,7 @@ let solve_chunk man crit params ~level ~gstats subst pairs =
       let solve_clique = function
         | [ i ] -> merge_group i (rep i)
         | clique ->
-          Obs.Probe.observe "level.clique_size" (List.length clique);
+          Obs.Metrics.observe clique_size_hist (List.length clique);
           (* Maximal-DC common i-cover of the whole clique (Lemma 14). *)
           let cover =
             List.fold_left
@@ -224,23 +243,23 @@ let minimize_at_level man ?(params = default_params) crit ~level
     if gstats.cliques > 0 then
       Obs.Trace.add sp "cliques" (Obs.Trace.Int gstats.cliques);
     Obs.Trace.add sp "replacements" (Obs.Trace.Int (Hashtbl.length subst));
-    Obs.Probe.observe "level.graph_vertices" gstats.vertices;
-    Obs.Probe.count "level.edges_probed" gstats.edges_probed;
+    Obs.Metrics.observe graph_vertices_hist gstats.vertices;
+    Obs.Metrics.add edges_probed_total gstats.edges_probed;
     if Hashtbl.length subst = 0 then s else rebuild man ~level subst s
 
-let max_level man (s : Ispec.t) =
-  let sup =
-    List.sort_uniq compare (Bdd.support man s.f @ Bdd.support man s.c)
-  in
-  List.fold_left max (-1) sup
+let support man (s : Ispec.t) =
+  List.sort_uniq compare (Bdd.support man s.f @ Bdd.support man s.c)
 
+let max_level man s = List.fold_left max (-1) (support man s)
+
+(* A level no node of [f] or [c] sits at cuts the instance exactly where
+   the level above it does, so a pass there would only repeat that
+   matching: visit the support levels alone.  A pass adds no variables,
+   so the initial support bounds every later one. *)
 let minimize_all_levels man ?params crit (s : Ispec.t) =
-  let top = max_level man s in
-  let rec go level spec =
-    if level > top then spec
-    else go (level + 1) (minimize_at_level man ?params crit ~level spec)
-  in
-  go 0 s
+  List.fold_left
+    (fun spec level -> minimize_at_level man ?params crit ~level spec)
+    s (support man s)
 
 let opt_lv man ?params (s : Ispec.t) =
   if Bdd.is_zero s.Ispec.c then invalid_arg "Level.opt_lv: empty care set";

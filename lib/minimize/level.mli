@@ -45,13 +45,15 @@ val minimize_at_level :
 
 val minimize_all_levels :
   Bdd.man -> ?params:params -> Matching.criterion -> Ispec.t -> Ispec.t
-(** Apply {!minimize_at_level} at every level in increasing order. *)
+(** Apply {!minimize_at_level} at every level of the instance's union
+    support, in increasing order.  A level outside the support cuts the
+    instance where the level above it does, so it is skipped. *)
 
 val opt_lv : Bdd.man -> ?params:params -> Ispec.t -> Bdd.t
-(** The paper's [opt_lv] heuristic: [tsm] level matching at every level in
-    increasing order; the final [f] part is returned (a valid cover, since
-    each step yields an i-cover and [f' ] covers [[f'; c']]).  Requires a
-    non-empty care set. *)
+(** The paper's [opt_lv] heuristic: [tsm] level matching at every
+    support level in increasing order; the final [f] part is returned (a
+    valid cover, since each step yields an i-cover and [f' ] covers
+    [[f'; c']]).  Requires a non-empty care set. *)
 
 val distance : level:int -> (int * bool) list -> (int * bool) list -> float
 (** The §3.3.2 path distance between two functions rooted below [level],

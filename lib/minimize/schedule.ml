@@ -17,6 +17,12 @@ let default_params =
     level_params = Level.default_params;
   }
 
+let windows_total =
+  Obs.Metrics.(
+    handle
+      (counter ~help:"Level windows transformed by the sched heuristic"
+         "bddmin_minimize_schedule_windows_total"))
+
 let run man ?(params = default_params) (s : Ispec.t) =
   if Bdd.is_zero s.Ispec.c then invalid_arg "Schedule.run: empty care set";
   if params.window_size <= 0 then invalid_arg "Schedule.run: window_size";
@@ -44,7 +50,7 @@ let run man ?(params = default_params) (s : Ispec.t) =
   in
   let window lo hi spec =
     incr windows;
-    Obs.Probe.incr "schedule.windows";
+    Obs.Metrics.inc windows_total;
     Obs.Trace.with_span "schedule.window"
       ~attrs:[ ("lo", Obs.Trace.Int lo); ("hi", Obs.Trace.Int hi) ]
     @@ fun sp ->

@@ -70,12 +70,24 @@ let pass_attrs cfg =
     ("no_new_vars", Obs.Trace.Bool cfg.no_new_vars);
   ]
 
+let matches_total =
+  Obs.Metrics.(
+    handle
+      (counter ~help:"Sibling matches made, complemented ones included"
+         "bddmin_minimize_sibling_matches_total"))
+
+let depth_hist =
+  Obs.Metrics.(
+    handle
+      (histogram ~help:"Deepest recursion per sibling pass (log2 buckets)"
+         "bddmin_minimize_sibling_recursion_depth"))
+
 let finish_pass sp ~matches ~compl_matches ~recursions ~max_depth =
   Obs.Trace.add sp "matches" (Obs.Trace.Int matches);
   Obs.Trace.add sp "compl_matches" (Obs.Trace.Int compl_matches);
   Obs.Trace.add sp "recursions" (Obs.Trace.Int recursions);
-  Obs.Probe.count "sibling.matches" (matches + compl_matches);
-  Obs.Probe.observe "sibling.recursion_depth" max_depth
+  Obs.Metrics.add matches_total (matches + compl_matches);
+  Obs.Metrics.observe depth_hist max_depth
 
 (* [generic_td] of Figure 2.  The recursion maintains [c ≠ 0]: whenever a
    child's care set is 0, every criterion matches the siblings, so the

@@ -11,8 +11,7 @@ type kind = Counter | Gauge | Histogram
 
 let nbuckets = 32
 
-(* Same scheme as [Probe]: bucket 0 holds v <= 1, bucket i >= 1 holds
-   2^i <= v < 2^(i+1). *)
+(* Bucket 0 holds v <= 1, bucket i >= 1 holds 2^i <= v < 2^(i+1). *)
 let bucket_of v =
   if v <= 1 then 0
   else begin
@@ -290,4 +289,15 @@ let expose () =
     (snapshot ());
   Buffer.contents b
 
-let reset () = locked @@ fun () -> Hashtbl.reset families
+let reset () =
+  let zero = function
+    | Ccell a | Gcell a -> Atomic.set a 0
+    | Hcell h ->
+      Array.iter (fun a -> Atomic.set a 0) h.buckets;
+      Atomic.set h.sum 0;
+      Atomic.set h.count 0
+  in
+  locked @@ fun () ->
+  Hashtbl.iter
+    (fun _ (f : fam) -> List.iter (fun (_, c) -> zero c) f.series)
+    families

@@ -1,18 +1,20 @@
 (** A typed, labeled metrics registry with Prometheus text exposition.
 
-    Where {!Probe} is a stringly scratchpad ("bump whatever name you
-    compose"), this module is the production surface: metric families
-    are {e registered once} with a name, help text and a fixed set of
-    label names, and updated through typed handles — a counter cannot be
-    set backwards, a gauge can, a histogram only observes.  Families are
-    process-global and scrape-ready: {!expose} renders the whole
-    registry in Prometheus text exposition format (v0.0.4), and
+    The process's one registry: the serve daemon's request metrics and
+    the minimizers' and FSM traversal's counts (matching-graph sizes,
+    clique covers, reachability iterations) live side by side.  Metric
+    families are {e registered once} with a name, help text and a fixed
+    set of label names, and updated through typed handles — a counter
+    cannot be set backwards, a gauge can, a histogram only observes.
+    Families are process-global and scrape-ready: {!expose} renders the
+    whole registry in Prometheus text exposition format (v0.0.4; the
+    daemon's [/metrics] listener and [bddmin profile] print it), and
     {!snapshot} hands the same data to programmatic consumers (the serve
     daemon's [metrics] wire op, [serve-ctl watch]).
 
     {b Domain-safety contract.}  Registration (creating a family or
     resolving a label set to a handle) takes a process-wide mutex —
-    do it once, at module init or server start, not per request.
+    do it once, at module init, not per request.
     {e Updates} on a resolved handle are lock-free ([Atomic] increments;
     one fetch-and-add per counter bump, two per histogram observation),
     so many domains can bump the same handle concurrently without
@@ -22,8 +24,8 @@
     the sum — buckets are updated first — but every value is monotone
     and no tearing beyond that is possible).
 
-    Histogram buckets are the same log2 scheme as {!Probe}: bucket 0
-    holds observations [<= 1], bucket [i >= 1] holds [[2{^i}, 2{^i+1})].
+    Histogram buckets are log2: bucket 0 holds observations [<= 1],
+    bucket [i >= 1] holds [[2{^i}, 2{^i+1})].
     Exposed upper bounds are therefore 1, 3, 7, …, [2{^i+1}-1], +Inf.
 
     Metric names must match [[a-zA-Z_:][a-zA-Z0-9_:]*] and label names
@@ -105,5 +107,6 @@ val expose : unit -> string
     [_sum] / [_count] series per histogram. *)
 
 val reset : unit -> unit
-(** Unregister everything (tests; a handle kept across [reset] still
-    updates but is no longer scraped). *)
+(** Zero every series of every family (tests).  Families and series
+    stay registered, so a handle resolved at module init keeps updating
+    a series that is still scraped. *)

@@ -1,9 +1,9 @@
 (** Observability: monotonic timing ({!Clock}), span tracing with
-    pluggable sinks ({!Trace}), named counters and histograms
-    ({!Probe}), a typed labeled metrics registry with Prometheus
-    exposition ({!Metrics}), a lock-striped flight recorder
-    ({!Flight}), self/total-time profiles ({!Report}) and [Logs]
-    wiring ({!Logging}).
+    pluggable sinks ({!Trace}), the one process-global metrics registry
+    of counters, gauges and histograms with Prometheus exposition
+    ({!Metrics}), a lock-striped flight recorder ({!Flight}),
+    self/total-time profiles ({!Report}) and [Logs] wiring
+    ({!Logging}).
 
     The package is dependency-light (no BDD knowledge) so every layer —
     engine, minimizers, FSM traversal, harness, CLI, benches — can emit
@@ -11,7 +11,6 @@
 
 module Clock = Clock
 module Trace = Trace
-module Probe = Probe
 module Metrics = Metrics
 module Flight = Flight
 module Report = Report

@@ -54,128 +54,97 @@ module Log = (val Logs.src_log src)
 
 type listen = Tcp of int | Unix_path of string
 
-(* ----- metric families -----
-
-   Registered (idempotently) at every [start] rather than at module
-   init, so a test calling [Obs.Metrics.reset] between servers gets a
-   freshly scrapable registry instead of orphaned handles. *)
+(* ----- metric families (registered once, at module init) ----- *)
 
 module M = struct
-  type t = {
-    requests : Obs.Metrics.counter Obs.Metrics.family;
-    malformed : Obs.Metrics.counter;
-    replies : Obs.Metrics.counter Obs.Metrics.family;
-    latency : Obs.Metrics.histogram Obs.Metrics.family;
-    phase : Obs.Metrics.histogram Obs.Metrics.family;
-    conn_errors : Obs.Metrics.counter Obs.Metrics.family;
-    cache_events : Obs.Metrics.counter Obs.Metrics.family;
-    session_events : Obs.Metrics.counter Obs.Metrics.family;
-    queue_depth : Obs.Metrics.gauge;
-    admission_queue : Obs.Metrics.gauge;
-    cache_entries : Obs.Metrics.gauge;
-    sessions_live : Obs.Metrics.gauge;
-    workers_busy : Obs.Metrics.gauge;
-    workers_idle : Obs.Metrics.gauge;
-    workers : Obs.Metrics.gauge;
-    in_flight : Obs.Metrics.gauge;
-    connections : Obs.Metrics.gauge;
-    manager_live : Obs.Metrics.gauge Obs.Metrics.family;
-    uptime : Obs.Metrics.gauge;
-    trace_dropped : Obs.Metrics.gauge;
-    flight_dropped : Obs.Metrics.gauge;
-  }
+  open Obs.Metrics
 
-  let register () =
-    let counter = Obs.Metrics.counter and gauge = Obs.Metrics.gauge in
-    {
-      requests =
-        counter ~help:"Requests parsed, by operation" ~labels:[ "op" ]
-          "bddmin_serve_requests_total";
-      malformed =
-        Obs.Metrics.handle
-          (counter ~help:"Frames that failed request parsing"
-             "bddmin_serve_malformed_total");
-      replies =
-        counter ~help:"Replies written, by operation and status"
-          ~labels:[ "op"; "status" ] "bddmin_serve_replies_total";
-      latency =
-        Obs.Metrics.histogram
-          ~help:"Worker-side request latency in microseconds (log2 buckets)"
-          ~labels:[ "op" ] "bddmin_serve_latency_us";
-      phase =
-        Obs.Metrics.histogram
-          ~help:
-            "Per-phase request time in microseconds: queue wait, handler \
-             execution, reply serialization + write"
-          ~labels:[ "phase" ] "bddmin_serve_phase_us";
-      conn_errors =
-        counter ~help:"Connection-level failures, by kind" ~labels:[ "kind" ]
-          "bddmin_serve_conn_errors_total";
-      cache_events =
-        counter
-          ~help:
-            "Result-cache events: hit (served from the reader), \
-             canonical_hit (matched after interning), miss, collapsed \
-             (joined an in-flight identical request), store, evicted"
-          ~labels:[ "event" ] "bddmin_serve_cache_events_total";
-      session_events =
-        counter ~help:"Session lifecycle events: opened, closed, evicted"
-          ~labels:[ "event" ] "bddmin_serve_session_events_total";
-      queue_depth =
-        Obs.Metrics.handle
-          (gauge ~help:"Compute jobs queued but not yet running"
-             "bddmin_serve_queue_depth");
-      admission_queue =
-        Obs.Metrics.handle
-          (gauge
-             ~help:
-               "Admitted compute requests not yet started (bounded by \
-                --queue-cap)"
-             "bddmin_serve_admission_queue");
-      cache_entries =
-        Obs.Metrics.handle
-          (gauge ~help:"Finished entries resident in the result cache"
-             "bddmin_serve_cache_entries");
-      sessions_live =
-        Obs.Metrics.handle
-          (gauge ~help:"Open warm-manager sessions" "bddmin_serve_sessions");
-      workers_busy =
-        Obs.Metrics.handle
-          (gauge ~help:"Pool workers currently executing a job"
-             "bddmin_serve_workers_busy");
-      workers_idle =
-        Obs.Metrics.handle
-          (gauge ~help:"Pool workers parked waiting for work"
-             "bddmin_serve_workers_idle");
-      workers =
-        Obs.Metrics.handle
-          (gauge ~help:"Pool worker domains" "bddmin_serve_workers");
-      in_flight =
-        Obs.Metrics.handle
-          (gauge ~help:"Compute requests accepted and not yet replied"
-             "bddmin_serve_in_flight");
-      connections =
-        Obs.Metrics.handle
-          (gauge ~help:"Open client connections" "bddmin_serve_connections");
-      manager_live =
-        gauge
-          ~help:
-            "Live BDD nodes in the most recently completed request's \
-             manager, by operation"
-          ~labels:[ "op" ] "bddmin_serve_manager_live_nodes";
-      uptime =
-        Obs.Metrics.handle
-          (gauge ~help:"Seconds since the server started"
-             "bddmin_serve_uptime_seconds");
-      trace_dropped =
-        Obs.Metrics.handle
-          (gauge ~help:"Trace events dropped by memory-sink rings"
-             "bddmin_obs_trace_dropped_events");
-      flight_dropped =
-        Obs.Metrics.handle
-          (gauge ~help:"Flight-recorder records evicted from the ring"
-             "bddmin_serve_flight_dropped_records");
-    }
+  let requests =
+    counter ~help:"Requests parsed, by operation" ~labels:[ "op" ]
+      "bddmin_serve_requests_total"
+
+  let malformed =
+    handle
+      (counter ~help:"Frames that failed request parsing"
+         "bddmin_serve_malformed_total")
+
+  let replies =
+    counter ~help:"Replies written, by operation and status"
+      ~labels:[ "op"; "status" ] "bddmin_serve_replies_total"
+
+  let latency =
+    histogram ~help:"Worker-side request latency in microseconds (log2 buckets)"
+      ~labels:[ "op" ] "bddmin_serve_latency_us"
+
+  let phase =
+    histogram
+      ~help:
+        "Per-phase request time in microseconds: queue wait, handler \
+         execution, reply serialization + write"
+      ~labels:[ "phase" ] "bddmin_serve_phase_us"
+
+  let conn_errors =
+    counter ~help:"Connection-level failures, by kind" ~labels:[ "kind" ]
+      "bddmin_serve_conn_errors_total"
+
+  let cache_events =
+    counter
+      ~help:
+        "Result-cache events: hit (served from the reader), canonical_hit \
+         (matched after interning), miss, collapsed (joined an in-flight \
+         identical request), store, evicted"
+      ~labels:[ "event" ] "bddmin_serve_cache_events_total"
+
+  let session_events =
+    counter ~help:"Session lifecycle events: opened, closed, evicted"
+      ~labels:[ "event" ] "bddmin_serve_session_events_total"
+
+  let gauge' help name = handle (gauge ~help name)
+
+  let queue_depth =
+    gauge' "Compute jobs queued but not yet running" "bddmin_serve_queue_depth"
+
+  let admission_queue =
+    gauge' "Admitted compute requests not yet started (bounded by --queue-cap)"
+      "bddmin_serve_admission_queue"
+
+  let cache_entries =
+    gauge' "Finished entries resident in the result cache"
+      "bddmin_serve_cache_entries"
+
+  let sessions_live = gauge' "Open warm-manager sessions" "bddmin_serve_sessions"
+
+  let workers_busy =
+    gauge' "Pool workers currently executing a job" "bddmin_serve_workers_busy"
+
+  let workers_idle =
+    gauge' "Pool workers parked waiting for work" "bddmin_serve_workers_idle"
+
+  let workers = gauge' "Pool worker domains" "bddmin_serve_workers"
+
+  let in_flight =
+    gauge' "Compute requests accepted and not yet replied"
+      "bddmin_serve_in_flight"
+
+  let connections = gauge' "Open client connections" "bddmin_serve_connections"
+
+  let manager_live =
+    gauge
+      ~help:
+        "Live BDD nodes in the most recently completed request's manager, \
+         by operation"
+      ~labels:[ "op" ] "bddmin_serve_manager_live_nodes"
+
+  let uptime =
+    gauge' "Seconds since the server started" "bddmin_serve_uptime_seconds"
+
+  let trace_dropped =
+    gauge' "Trace events dropped by memory-sink rings"
+      "bddmin_obs_trace_dropped_events"
+
+  let flight_dropped =
+    gauge' "Flight-recorder records evicted from the ring"
+      "bddmin_serve_flight_dropped_records"
 end
 
 type conn = {
@@ -218,7 +187,6 @@ type t = {
   conn_count : int Atomic.t;
   conn_seq : int Atomic.t;
   started_ns : int64;
-  m : M.t;
   flight : Obs.Flight.t;
   flight_dump : string option;
   trace_sink : Obs.Trace.sink option;
@@ -378,26 +346,9 @@ type texec = {
   mutable cache_note : string option;  (* "canonical-hit" etc, for explain *)
 }
 
-let stats_fields (d : Bdd.Stats.t) =
-  Bdd.Stats.
-    [ ("vars", Json.int d.vars);
-      ("live_nodes", Json.int d.live_nodes);
-      ("peak_live_nodes", Json.int d.peak_live_nodes);
-      ("interned", Json.int d.interned_total);
-      ("cache_lookups", Json.int d.cache_lookups);
-      ("cache_hits", Json.int d.cache_hits);
-      ("cache_hit_rate", Json.Num (Bdd.Stats.hit_rate d));
-      ("cache_stores", Json.int d.cache_stores);
-      ("cache_evictions", Json.int d.cache_evictions);
-      ("ite_recursions", Json.int d.ite_recursions);
-      ("and_recursions", Json.int d.and_recursions);
-      ("xor_recursions", Json.int d.xor_recursions);
-      ("constrain_recursions", Json.int d.constrain_recursions);
-      ("restrict_recursions", Json.int d.restrict_recursions);
-      ("quantify_recursions", Json.int d.quantify_recursions);
-      ("and_exists_recursions", Json.int d.and_exists_recursions);
-      ("gc_runs", Json.int d.gc_runs);
-      ("gc_reclaimed", Json.int d.gc_reclaimed) ]
+let engine_json (d : Bdd.Stats.t) =
+  List.map (fun (k, v) -> (k, Json.int v)) (Bdd.Stats.fields d)
+  @ [ ("cache_hit_rate", Json.Num (Bdd.Stats.hit_rate d)) ]
 
 (* Bracket a handler's compute on one manager: take the "before"
    snapshot now, and on the way out — also when the budget fires —
@@ -409,7 +360,7 @@ let with_engine_telemetry tx ~explain man budget f =
     let after = Bdd.snapshot man in
     tx.live_nodes <- after.Bdd.Stats.live_nodes;
     if explain then begin
-      tx.engine <- stats_fields (Bdd.Stats.delta ~before ~after);
+      tx.engine <- engine_json (Bdd.Stats.delta ~before ~after);
       tx.budget_used <- [ ("steps", Json.int (Bdd.Budget.steps budget)) ]
     end
   in
@@ -520,7 +471,7 @@ let handle_minimize srv conn tx ~explain budget_spec ~source ~heuristic =
        (match canonical_value with
         | Some value when Json.mem "result" value <> None ->
           Obs.Metrics.inc
-            (Obs.Metrics.labels srv.m.M.cache_events [ "canonical_hit" ]);
+            (Obs.Metrics.labels M.cache_events [ "canonical_hit" ]);
           tx.cache_note <- Some "canonical-hit";
           Ok (Option.get (Json.mem "result" value))
         | _ ->
@@ -534,7 +485,7 @@ let handle_session_open srv conn ~bdd =
   match Session.open_ srv.sessions ~owner:conn.id ~text:bdd with
   | Error msg -> Error msg
   | Ok s ->
-    Obs.Metrics.inc (Obs.Metrics.labels srv.m.M.session_events [ "opened" ]);
+    Obs.Metrics.inc (Obs.Metrics.labels M.session_events [ "opened" ]);
     Ok
       (Json.Obj
          [ ("session", Json.Str s.Session.sid);
@@ -610,24 +561,23 @@ let handle_equiv conn tx ~explain budget_spec a b =
    inc/dec instrumentation can. *)
 let refresh_gauges srv =
   let set = Obs.Metrics.set in
-  let m = srv.m in
   let depth = Exec.Pool.queue_depth srv.pool in
   let in_flight = Atomic.get srv.in_flight in
-  set m.M.queue_depth depth;
-  set m.M.admission_queue (Atomic.get srv.admitted);
-  set m.M.in_flight in_flight;
-  set m.M.workers_busy (min srv.workers (max 0 (in_flight - depth)));
-  set m.M.workers_idle (Exec.Pool.idle_workers srv.pool);
-  set m.M.workers srv.workers;
-  set m.M.connections (Atomic.get srv.conn_count);
-  set m.M.sessions_live (Session.count srv.sessions);
-  set m.M.cache_entries
+  set M.queue_depth depth;
+  set M.admission_queue (Atomic.get srv.admitted);
+  set M.in_flight in_flight;
+  set M.workers_busy (min srv.workers (max 0 (in_flight - depth)));
+  set M.workers_idle (Exec.Pool.idle_workers srv.pool);
+  set M.workers srv.workers;
+  set M.connections (Atomic.get srv.conn_count);
+  set M.sessions_live (Session.count srv.sessions);
+  set M.cache_entries
     (match srv.cache with None -> 0 | Some c -> Cache.length c);
-  set m.M.uptime
+  set M.uptime
     (Int64.to_int
        (Int64.div (Int64.sub (now_ns ()) srv.started_ns) 1_000_000_000L));
-  set m.M.trace_dropped (Obs.Trace.total_dropped ());
-  set m.M.flight_dropped (Obs.Flight.dropped srv.flight)
+  set M.trace_dropped (Obs.Trace.total_dropped ());
+  set M.flight_dropped (Obs.Flight.dropped srv.flight)
 
 let metrics_exposition srv =
   refresh_gauges srv;
@@ -810,7 +760,7 @@ let send_cached srv conn (req : Protocol.request) ~via value =
   Obs.Flight.record srv.flight ~trace_id:(trace_id_of req)
     ~sizes:[ ("reply_bytes", String.length payload) ]
     ~id:req.id ~op ~outcome:status ();
-  Obs.Metrics.inc (Obs.Metrics.labels srv.m.M.replies [ op; status ]);
+  Obs.Metrics.inc (Obs.Metrics.labels M.replies [ op; status ]);
   conn_send_payload conn payload
 
 (* ----- pending-item accounting -----
@@ -845,7 +795,7 @@ let abort_item srv p =
   let req = p.p_req in
   let reply = Protocol.dnf_reply ~id:req.Protocol.id Bdd.Budget.Cancelled in
   Obs.Metrics.inc
-    (Obs.Metrics.labels srv.m.M.replies
+    (Obs.Metrics.labels M.replies
        [ Protocol.op_label req.Protocol.op; "dnf" ]);
   Obs.Flight.record srv.flight ~trace_id:(trace_id_of req)
     ~id:req.Protocol.id
@@ -918,7 +868,7 @@ let run_item srv (p : pending) =
      let value = strip_for_cache reply in
      let store = status = "ok" in
      if store then
-       Obs.Metrics.inc (Obs.Metrics.labels srv.m.M.cache_events [ "store" ]);
+       Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "store" ]);
      let aliases = Option.to_list tx.canonical_key in
      let followers = Cache.resolve cache ~key ~aliases ~store value in
      List.iter (fun f -> f value) followers
@@ -969,15 +919,14 @@ let run_item srv (p : pending) =
   Obs.Trace.add span "exec_us" (Obs.Trace.Int exec_us);
   Obs.Trace.add span "write_us" (Obs.Trace.Int write_us);
   Obs.Trace.add span "status" (Obs.Trace.Str status);
-  let m = srv.m in
-  Obs.Metrics.observe (Obs.Metrics.labels m.M.latency [ op ]) total_us;
-  Obs.Metrics.observe (Obs.Metrics.labels m.M.phase [ "queue" ]) queue_us;
-  Obs.Metrics.observe (Obs.Metrics.labels m.M.phase [ "exec" ]) exec_us;
+  Obs.Metrics.observe (Obs.Metrics.labels M.latency [ op ]) total_us;
+  Obs.Metrics.observe (Obs.Metrics.labels M.phase [ "queue" ]) queue_us;
+  Obs.Metrics.observe (Obs.Metrics.labels M.phase [ "exec" ]) exec_us;
   Obs.Metrics.observe
-    (Obs.Metrics.labels m.M.phase [ "write" ])
+    (Obs.Metrics.labels M.phase [ "write" ])
     (write_us + send_us);
-  Obs.Metrics.inc (Obs.Metrics.labels m.M.replies [ op; status ]);
-  Obs.Metrics.set (Obs.Metrics.labels m.M.manager_live [ op ]) tx.live_nodes;
+  Obs.Metrics.inc (Obs.Metrics.labels M.replies [ op; status ]);
+  Obs.Metrics.set (Obs.Metrics.labels M.manager_live [ op ]) tx.live_nodes;
   if status = "error" then begin
     Log.debug (fun k -> k "request %d (%s) from %s errored" id op conn.peer);
     ignore (dump_flight srv)
@@ -1030,7 +979,6 @@ let submit_item srv conn ~arrival_ns ~req_bytes ~key (req : Protocol.request) =
 (* The reader-side dispatch for compute ops: result cache, then
    backpressure, then single-flight join, then the queue. *)
 let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
-  let m = srv.m in
   let raw_key =
     match srv.cache with
     | None -> None
@@ -1044,14 +992,14 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
   match cached with
   | Some value ->
     (* finished result: served straight from the reader, no queue *)
-    Obs.Metrics.inc (Obs.Metrics.labels m.M.cache_events [ "hit" ]);
+    Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "hit" ]);
     send_cached srv conn req ~via:"hit" value
   | None ->
     if not (try_admit srv) then begin
       (* backpressure: refuse without enqueueing *)
       let retry = retry_after_ms srv in
       Obs.Metrics.inc
-        (Obs.Metrics.labels m.M.replies [ Protocol.op_label req.op; "busy" ]);
+        (Obs.Metrics.labels M.replies [ Protocol.op_label req.op; "busy" ]);
       Obs.Flight.record srv.flight ~trace_id:(trace_id_of req) ~id:req.id
         ~op:(Protocol.op_label req.op) ~outcome:"busy" ();
       conn_send conn (Protocol.busy_reply ~id:req.id ~retry_after_ms:retry)
@@ -1076,7 +1024,7 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
       | Some (_, Cache.Hit value) ->
         (* resolved between the probe above and the join: a hit.
            Give the admission slot back — nothing was enqueued. *)
-        Obs.Metrics.inc (Obs.Metrics.labels m.M.cache_events [ "hit" ]);
+        Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "hit" ]);
         send_cached srv conn req ~via:"hit" value;
         Atomic.decr srv.admitted;
         Atomic.decr srv.in_flight;
@@ -1084,10 +1032,10 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
       | Some (_, Cache.Joined) ->
         (* parked behind the leader; the follower closure owns the
            ref + in_flight slot, and no queue slot is consumed *)
-        Obs.Metrics.inc (Obs.Metrics.labels m.M.cache_events [ "collapsed" ]);
+        Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "collapsed" ]);
         Atomic.decr srv.admitted
       | Some (key, Cache.Lead) ->
-        Obs.Metrics.inc (Obs.Metrics.labels m.M.cache_events [ "miss" ]);
+        Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "miss" ]);
         submit_item srv conn ~arrival_ns ~req_bytes ~key:(Some key) req
       | None -> submit_item srv conn ~arrival_ns ~req_bytes ~key:None req
     end
@@ -1097,7 +1045,7 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
    compute to attribute). *)
 let record_inline srv req ~outcome =
   Obs.Metrics.inc
-    (Obs.Metrics.labels srv.m.M.replies
+    (Obs.Metrics.labels M.replies
        [ Protocol.op_label req.Protocol.op; outcome ]);
   Obs.Flight.record srv.flight ~trace_id:(trace_id_of req)
     ~id:req.Protocol.id
@@ -1113,13 +1061,13 @@ let reader_loop srv conn =
       if not (Atomic.get srv.stop_flag) then begin
         Log.warn (fun k -> k "connection %s: %s" conn.peer msg);
         Obs.Metrics.inc
-          (Obs.Metrics.labels srv.m.M.conn_errors [ "torn_frame" ])
+          (Obs.Metrics.labels M.conn_errors [ "torn_frame" ])
       end
     | Ok (`Frame payload) ->
       let arrival_ns = now_ns () in
       (match Protocol.parse_request payload with
        | Error (id, msg) ->
-         Obs.Metrics.inc srv.m.M.malformed;
+         Obs.Metrics.inc M.malformed;
          Log.info (fun k -> k "connection %s: malformed request: %s" conn.peer msg);
          Obs.Flight.record srv.flight ~id ~op:"malformed" ~outcome:"error"
            ~sizes:[ ("req_bytes", String.length payload) ]
@@ -1127,7 +1075,7 @@ let reader_loop srv conn =
          conn_send conn (Protocol.error_reply ~id msg)
        | Ok req ->
          Obs.Metrics.inc
-           (Obs.Metrics.labels srv.m.M.requests
+           (Obs.Metrics.labels M.requests
               [ Protocol.op_label req.op ]);
          (match srv.trace_sink with
           | Some sink when sampled req ->
@@ -1166,7 +1114,7 @@ let reader_loop srv conn =
             let closed = Session.close srv.sessions ~owner:conn.id sid in
             if closed then
               Obs.Metrics.inc
-                (Obs.Metrics.labels srv.m.M.session_events [ "closed" ]);
+                (Obs.Metrics.labels M.session_events [ "closed" ]);
             conn_send conn
               (Protocol.ok_reply ~id:req.id
                  (Json.Obj [ ("closed", Json.Bool closed) ]));
@@ -1185,7 +1133,7 @@ let reader_loop srv conn =
      Log.err (fun k ->
          k "reader for %s died: %s" conn.peer (Printexc.to_string e));
      Obs.Metrics.inc
-       (Obs.Metrics.labels srv.m.M.conn_errors [ "reader_exception" ]));
+       (Obs.Metrics.labels M.conn_errors [ "reader_exception" ]));
   (* reader is done: cancel whatever this connection still has in
      flight, drop its sessions, then drop the reader's reference *)
   Log.debug (fun k -> k "connection %s closed" conn.peer);
@@ -1194,7 +1142,7 @@ let reader_loop srv conn =
   let dropped = Session.drop_conn srv.sessions ~owner:conn.id in
   if dropped > 0 then
     Obs.Metrics.add
-      (Obs.Metrics.labels srv.m.M.session_events [ "closed" ])
+      (Obs.Metrics.labels M.session_events [ "closed" ])
       dropped;
   conn_release conn
 
@@ -1246,7 +1194,7 @@ let accept_loop srv =
        | exception Unix.Unix_error (e, _, _) ->
          Log.warn (fun k -> k "accept failed: %s" (Unix.error_message e));
          Obs.Metrics.inc
-           (Obs.Metrics.labels srv.m.M.conn_errors [ "accept" ]))
+           (Obs.Metrics.labels M.conn_errors [ "accept" ]))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
@@ -1339,7 +1287,6 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       let fd, addr, port, upath = bind_listen l in
       (Some fd, Some addr, port, upath)
   in
-  let m = M.register () in
   let cache =
     if cache_capacity <= 0 then None
     else
@@ -1347,7 +1294,7 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
         (Cache.create ~capacity:cache_capacity
            ~on_evict:(fun () ->
              Obs.Metrics.inc
-               (Obs.Metrics.labels m.M.cache_events [ "evicted" ]))
+               (Obs.Metrics.labels M.cache_events [ "evicted" ]))
            ())
   in
   let sessions =
@@ -1355,7 +1302,7 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       ~on_evict:(fun sid ->
         Log.debug (fun k -> k "session %s evicted (LRU)" sid);
         Obs.Metrics.inc
-          (Obs.Metrics.labels m.M.session_events [ "evicted" ]))
+          (Obs.Metrics.labels M.session_events [ "evicted" ]))
       ()
   in
   let srv =
@@ -1376,7 +1323,6 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       conn_count = Atomic.make 0;
       conn_seq = Atomic.make 1;
       started_ns = now_ns ();
-      m;
       flight = Obs.Flight.create ~capacity:(max 1 flight_capacity) ();
       flight_dump;
       trace_sink = trace;

@@ -300,9 +300,19 @@ let stats_labels_honest () =
     (s'.Bdd.Stats.live_nodes < s'.Bdd.Stats.interned_total + 1);
   Util.checkb "peak is sticky"
     (s'.Bdd.Stats.peak_live_nodes >= s.Bdd.Stats.live_nodes);
-  Util.checkb "one-line stats mentions live and gc"
-    (Util.contains (Bdd.stats man) "live="
-     && Util.contains (Bdd.stats man) "gc_runs=1")
+  let fields = Bdd.Stats.fields s' in
+  Util.checkb "fields name the record's fields, in order"
+    (List.map fst fields
+     = [ "vars"; "live_nodes"; "peak_live_nodes"; "interned_total";
+         "unique_capacity"; "external_refs"; "cache_entries";
+         "cache_capacity"; "cache_lookups"; "cache_hits"; "cache_stores";
+         "cache_evictions"; "ite_recursions"; "and_recursions";
+         "xor_recursions"; "constrain_recursions"; "restrict_recursions";
+         "quantify_recursions"; "and_exists_recursions"; "interned_cubes";
+         "gc_runs"; "gc_reclaimed" ]);
+  Util.checki "fields carry live nodes" s'.Bdd.Stats.live_nodes
+    (List.assoc "live_nodes" fields);
+  Util.checki "fields carry the gc run" 1 (List.assoc "gc_runs" fields)
 
 let sat_count_undersized_space () =
   let man = Util.man in

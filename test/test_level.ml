@@ -175,6 +175,25 @@ let distance_paper_example () =
   Alcotest.(check (float 1e-9)) "paper distance" 9.0
     (L.distance ~level:6 pg ph)
 
+(* opt_lv passes only at the levels the instance uses: a 3-node
+   instance whose support ends at the last legal variable costs three
+   level passes, not one per index below it. *)
+let opt_lv_passes_per_support_level () =
+  let man = Bdd.create () in
+  let v = Bdd.max_vars - 1 in
+  let x = Bdd.ithvar man in
+  let s = I.make ~f:(Bdd.ite man (x 0) (x (v - 1)) (x v)) ~c:(x v) in
+  let sink = Obs.Trace.memory () in
+  let g = Obs.Trace.with_sink sink (fun () -> L.opt_lv man s) in
+  let passes =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+         e.name = "level.pass" && e.phase = Obs.Trace.Begin)
+      (Obs.Trace.events sink)
+  in
+  Util.checki "one level.pass span per support level" 3 (List.length passes);
+  Util.checkb "the result covers the instance" (I.is_cover man s g)
+
 let suite =
   [
     gather_terminates_below_level;
@@ -188,4 +207,6 @@ let suite =
     theorem12;
     Alcotest.test_case "distance of siblings" `Quick distance_siblings;
     Alcotest.test_case "distance paper example" `Quick distance_paper_example;
+    Alcotest.test_case "opt_lv passes per support level" `Quick
+      opt_lv_passes_per_support_level;
   ]

@@ -7,9 +7,15 @@
 module M = Obs.Metrics
 module F = Obs.Flight
 
-(* Every registration below happens against a clean registry so reruns
-   and ordering cannot collide with the serve tests' families. *)
+(* Every case starts from a zeroed registry.  The registry is
+   process-global, so the minimizer and serve families registered at
+   module init are always in it: look a family up by name. *)
 let fresh () = M.reset ()
+
+let family name =
+  match List.find_opt (fun f -> f.M.name = name) (M.snapshot ()) with
+  | Some f -> f
+  | None -> Alcotest.failf "family %s not in the snapshot" name
 
 (* ----- registry semantics ----- *)
 
@@ -36,10 +42,10 @@ let histogram_semantics () =
   fresh ();
   let h = M.handle (M.histogram "tm_hist_us") in
   List.iter (M.observe h) [ 0; 1; 2; 3; 500; -5 ];
-  match M.snapshot () with
-  | [ { M.name = "tm_hist_us"; kind = M.Histogram;
-        series = [ { M.value = M.Histogram_v { buckets; sum; count }; _ } ];
-        _ } ] ->
+  match family "tm_hist_us" with
+  | { M.kind = M.Histogram;
+      series = [ { M.value = M.Histogram_v { buckets; sum; count }; _ } ];
+      _ } ->
     Util.checki "count" 6 count;
     Util.checki "negatives clamp to zero in the sum" 506 sum;
     (* log2 buckets: 0,1,-5 -> bucket 0 (<=1); 2,3 -> bucket 1; 500 ->
@@ -75,6 +81,29 @@ let registration_rules () =
     (match M.counter "0bad-name" with
      | _ -> false
      | exception Invalid_argument _ -> true)
+
+(* [reset] zeroes series but keeps them registered: a handle resolved at
+   module init must still be scraped afterwards. *)
+let reset_keeps_families () =
+  let c = M.handle (M.counter "tm_reset_total") in
+  let h = M.handle (M.histogram "tm_reset_hist") in
+  M.inc c;
+  M.observe h 9;
+  M.reset ();
+  Util.checki "reset zeroes a counter" 0 (M.counter_value c);
+  M.inc c;
+  List.iter (M.observe h) [ 8; 15; 1024 ];
+  (match family "tm_reset_total" with
+   | { M.series = [ { M.value = M.Counter_v v; _ } ]; _ } ->
+     Util.checki "a bump after reset is scraped" 1 v
+   | _ -> Alcotest.fail "counter series lost by reset");
+  match family "tm_reset_hist" with
+  | { M.series = [ { M.value = M.Histogram_v { buckets; count; _ }; _ } ]; _ }
+    ->
+    Util.checki "only post-reset observations" 3 count;
+    Util.checki "bucket 3 holds 8-15" 2 buckets.(3);
+    Util.checki "bucket 10 holds 1024" 1 buckets.(10)
+  | _ -> Alcotest.fail "histogram series lost by reset"
 
 let label_series_independent () =
   fresh ();
@@ -233,19 +262,20 @@ let check_exposition text =
               | [] -> ());
              Hashtbl.replace buckets key ((le, v) :: prior)
            | "_count" ->
-             Hashtbl.replace counts family
+             Hashtbl.replace counts (family, labels)
                (int_of_float (float_of_string value))
            | _ -> ()
          end
        end)
     lines;
-  (* every bucket series ends at +Inf, agreeing with _count *)
+  (* every bucket series ends at +Inf, agreeing with its own _count *)
   Hashtbl.iter
-    (fun (family, _) series ->
+    (fun key series ->
+       let family = fst key in
        match series with
        | (le, v) :: _ ->
          Util.checkb (family ^ " last bucket is +Inf") (le = "+Inf");
-         (match Hashtbl.find_opt counts family with
+         (match Hashtbl.find_opt counts key with
           | Some c -> Util.checki (family ^ " +Inf equals count") c v
           | None -> Alcotest.failf "%s has buckets but no _count" family)
        | [] -> ())
@@ -286,7 +316,8 @@ let exposition_fuzz =
        fresh ();
        List.iteri
          (fun i (kind, series, observations) ->
-            let name = Printf.sprintf "tm_fuzz_%d" i in
+            (* families outlive [reset], so a name keeps its kind *)
+            let name = Printf.sprintf "tm_fuzz_%d_%d" kind i in
             match kind with
             | 0 ->
               let fam = M.counter ~labels:[ "k" ] name in
@@ -415,6 +446,7 @@ let suite =
     Alcotest.test_case "gauge semantics" `Quick gauge_semantics;
     Alcotest.test_case "histogram semantics" `Quick histogram_semantics;
     Alcotest.test_case "registration rules" `Quick registration_rules;
+    Alcotest.test_case "reset keeps families" `Quick reset_keeps_families;
     Alcotest.test_case "label series independent" `Quick
       label_series_independent;
     Alcotest.test_case "prometheus exposition format" `Quick exposition_format;

@@ -415,28 +415,6 @@ let report_from_live_spans () =
   Util.checkb "parent self = total - child"
     (Int64.add a.self_ns b.total_ns = a.total_ns)
 
-(* ----- probes ----- *)
-
-let probe_counters_and_histograms () =
-  Obs.Probe.reset ();
-  Obs.Probe.incr "c";
-  Obs.Probe.count "c" 4;
-  Util.checki "counter" 5 (Obs.Probe.counter_value "c");
-  Util.checki "unknown counter" 0 (Obs.Probe.counter_value "nope");
-  List.iter (Obs.Probe.observe "h") [ 0; 1; 2; 3; 8; 15; 1024 ];
-  (match Obs.Probe.histograms () with
-   | [ ("h", buckets) ] ->
-     Util.checki "bucket 0 holds <=1" 2 buckets.(0);
-     Util.checki "bucket 1 holds 2-3" 2 buckets.(1);
-     Util.checki "bucket 3 holds 8-15" 2 buckets.(3);
-     Util.checki "bucket 10 holds 1024" 1 buckets.(10)
-   | hs -> Alcotest.fail (Printf.sprintf "%d histograms" (List.length hs)));
-  Util.check Alcotest.string "bucket label" "8-15" (Obs.Probe.bucket_label 3);
-  Util.check Alcotest.string "bucket 0 label" "0-1" (Obs.Probe.bucket_label 0);
-  Obs.Probe.reset ();
-  Util.checkb "reset drops everything"
-    (Obs.Probe.counters () = [] && Obs.Probe.histograms () = [])
-
 (* ----- engine events ----- *)
 
 (* GC runs and computed-cache growth appear as instants on a trace
@@ -516,7 +494,6 @@ let suite =
     Alcotest.test_case "memory ring truncates" `Quick memory_ring_truncates;
     Alcotest.test_case "report self/total" `Quick report_self_total;
     Alcotest.test_case "report live spans" `Quick report_from_live_spans;
-    Alcotest.test_case "probes" `Quick probe_counters_and_histograms;
     Alcotest.test_case "engine events" `Quick engine_events;
     differential_tracing;
     Alcotest.test_case "clock" `Quick clock_monotone;

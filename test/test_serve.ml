@@ -376,6 +376,29 @@ let serve_metrics () =
       (Util.contains text "bddmin_serve_requests_total{op=\"minimize\"}")
   | _ -> Alcotest.fail "prometheus text missing"
 
+(* One process-global registry: the minimizers' families, registered at
+   module init, are scraped through the daemon's metrics op, and the
+   work a served minimize does shows up in them. *)
+let serve_metrics_minimizer_families () =
+  with_server @@ fun _srv addr ->
+  let c = C.connect addr in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let windows m =
+    match find_family m "bddmin_minimize_schedule_windows_total" with
+    | Some fam -> begin
+        match J.mem "series" fam with
+        | Some (J.Arr [ s ]) -> Option.get (J.int_field "value" s)
+        | _ -> Alcotest.fail "windows family has no single series"
+      end
+    | None -> Alcotest.fail "bddmin_minimize_schedule_windows_total missing"
+  in
+  let before = windows (expect_ok "metrics" (C.metrics c)) in
+  ignore
+    (expect_ok "minimize"
+       (C.minimize c ~heuristic:"sched" (P.Store_text payload)));
+  let after = windows (expect_ok "metrics" (C.metrics c)) in
+  Util.checkb "the served sched run counted its windows" (after > before)
+
 let serve_trace_roundtrip () =
   (* a trace spec survives render -> parse byte-identically, including
      bytes that need JSON escaping *)
@@ -447,7 +470,7 @@ let serve_explain_telemetry () =
          | Some v -> Util.checkb (key ^ " delta non-negative") (v >= 0)
          | None -> Alcotest.failf "engine delta lacks %s" key)
       [ "cache_lookups"; "cache_hits"; "cache_stores"; "ite_recursions";
-        "and_recursions"; "interned" ];
+        "and_recursions"; "interned_total" ];
     Util.checkb "the request did engine work"
       (Option.get (J.int_field "cache_lookups" engine) > 0)
 
@@ -973,6 +996,8 @@ let suite =
     Alcotest.test_case "repr field: bdd only" `Quick serve_repr_field;
     Alcotest.test_case "reach and equiv ops" `Quick serve_reach_equiv;
     Alcotest.test_case "metrics endpoint" `Quick serve_metrics;
+    Alcotest.test_case "metrics op lists minimizer families" `Quick
+      serve_metrics_minimizer_families;
     Alcotest.test_case "trace id round trip" `Quick serve_trace_roundtrip;
     Alcotest.test_case "explain telemetry" `Quick serve_explain_telemetry;
     Alcotest.test_case "flight dump op" `Quick serve_dump_op;
