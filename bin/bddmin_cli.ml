@@ -673,7 +673,7 @@ let bench_cmd =
               machines (optionally on several worker domains; the \
               result data is byte-identical at any $(b,-j)) and writes \
               a machine-readable JSON record: schema \
-              $(b,bddmin-bench-engine/12) with per-minimizer size/time \
+              $(b,bddmin-bench-engine/13) with per-minimizer size/time \
               totals, capture wall time, the image strategy, the \
               resource limits with any DNF rows they produced, a serve \
               throughput/latency section (see $(b,--serve-requests)), \

@@ -102,6 +102,7 @@ type man = {
   mutable n_restrict : int;
   mutable n_quantify : int;
   mutable n_and_exists : int;
+  mutable n_agree : int;
   mutable c_lookups : int;
   mutable c_hits : int;
   mutable c_stores : int;
@@ -243,6 +244,7 @@ let make_view ?(cache_bits = default_cache_bits)
       n_restrict = 0;
       n_quantify = 0;
       n_and_exists = 0;
+      n_agree = 0;
       c_lookups = 0;
       c_hits = 0;
       c_stores = 0;
@@ -745,6 +747,7 @@ let tag_exists = 5
 let tag_forall = 6
 let tag_and_exists = 7
 let tag_compose = 8
+let tag_agree = 9
 
 let pack_tag tag u = (u lsl 4) lor tag
 
@@ -888,7 +891,47 @@ let diff man f g = and_ man f (compl g)
 let conj man fs = List.fold_left (dand man) (one man) fs
 let disj man fs = List.fold_left (dor man) (zero man) fs
 
-let leq man f g = is_zero (diff man f g)
+(* The agreement test: does [c·(f ⊕ g) = 0] hold?  A yes/no question,
+   so it is decided without interning a node: the recursion walks the
+   cofactors of its three operands and stops at the first path on which
+   [c] holds and [f] and [g] differ.  Inside [c] an operand equal to [c]
+   is the constant 1 (to [¬c], 0).  [f ⊕ g = ¬f ⊕ ¬g], so after ordering
+   the pair by node id both are flipped to make the first regular, and
+   symmetric calls share one cache entry; the verdict is cached as a
+   constant edge. *)
+let inside man c e =
+  if equal e c then one man else if is_compl_pair e c then zero man else e
+
+let rec agree_rec man c f g =
+  if is_zero c || equal f g then true
+  else if is_one c || is_compl_pair f g then false
+  else
+    let f = inside man c f and g = inside man c g in
+    if equal f g then true
+    else if is_compl_pair f g then false
+    else begin
+      let f, g = if f.node.id <= g.node.id then (f, g) else (g, f) in
+      let f, g = if f.neg then (compl f, compl g) else (f, g) in
+      let k0 = pack_tag tag_agree (uid c) and k1 = uid f and k2 = uid g in
+      match cache_find man k0 k1 k2 with
+      | Some r -> is_one r
+      | None ->
+        budget_tick man;
+        man.n_agree <- man.n_agree + 1;
+        let v = min (topvar c) (min (topvar f) (topvar g)) in
+        let ct, ce = branches c v
+        and ft, fe = branches f v
+        and gt, ge = branches g v in
+        let r = agree_rec man ct ft gt && agree_rec man ce fe ge in
+        cache_store man k0 k1 k2 (if r then one man else zero man);
+        r
+    end
+
+let agree man c f g =
+  budget_entry man;
+  agree_rec man c f g
+
+let leq man f g = agree man f g (one man)
 
 (* ----- Cofactor with respect to an arbitrary variable ----- *)
 
@@ -1242,6 +1285,7 @@ module Stats = struct
     restrict_recursions : int;
     quantify_recursions : int;
     and_exists_recursions : int;
+    agree_recursions : int;
     interned_cubes : int;
     gc_runs : int;
     gc_reclaimed : int;
@@ -1274,6 +1318,7 @@ module Stats = struct
       ("restrict_recursions", s.restrict_recursions);
       ("quantify_recursions", s.quantify_recursions);
       ("and_exists_recursions", s.and_exists_recursions);
+      ("agree_recursions", s.agree_recursions);
       ("interned_cubes", s.interned_cubes);
       ("gc_runs", s.gc_runs);
       ("gc_reclaimed", s.gc_reclaimed);
@@ -1313,6 +1358,7 @@ module Stats = struct
         after.quantify_recursions - before.quantify_recursions;
       and_exists_recursions =
         after.and_exists_recursions - before.and_exists_recursions;
+      agree_recursions = after.agree_recursions - before.agree_recursions;
       interned_cubes = after.interned_cubes - before.interned_cubes;
       gc_runs = after.gc_runs - before.gc_runs;
       gc_reclaimed = after.gc_reclaimed - before.gc_reclaimed;
@@ -1346,6 +1392,7 @@ let snapshot man : Stats.t =
     restrict_recursions = man.n_restrict;
     quantify_recursions = man.n_quantify;
     and_exists_recursions = man.n_and_exists;
+    agree_recursions = man.n_agree;
     interned_cubes = man.next_iarr;
     gc_runs = man.gc_runs;
     gc_reclaimed = man.gc_nodes;

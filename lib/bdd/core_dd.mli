@@ -114,14 +114,14 @@ val gc : ?roots:t list -> man -> int
     steps, a monotonic wall-clock deadline, and an optional cooperative
     cancellation callback.  Every kernel ({!ite}, {!and_}, {!xor},
     {!exists}, {!and_exists}, {!constrain}, {!restrict},
-    {!vector_compose}) consults the installed budget with a single cheap
-    check in its cache-miss preamble and raises {!Budget_exhausted}
-    there — a {e clean recursion boundary}: node interning and cache
-    stores are individually atomic and only completed results are ever
-    cached, so after the exception unwinds the unique table, the
-    computed cache and the GC roots are all consistent.  Aborted work is
-    merely discarded; re-running the same operation without a budget
-    yields the canonical result.
+    {!vector_compose}, {!agree}) consults the installed budget with a
+    single cheap check in its cache-miss preamble and raises
+    {!Budget_exhausted} there — a {e clean recursion boundary}: node
+    interning and cache stores are individually atomic and only
+    completed results are ever cached, so after the exception unwinds
+    the unique table, the computed cache and the GC roots are all
+    consistent.  Aborted work is merely discarded; re-running the same
+    operation without a budget yields the canonical result.
 
     The wall clock and the cancellation callback are additionally polled
     once at every public operation's {e entry} — so an already-expired
@@ -228,6 +228,9 @@ module Stats : sig
     quantify_recursions : int;  (** cache-missing exists/forall steps *)
     and_exists_recursions : int;
     (** cache-missing fused conjoin-and-quantify steps *)
+    agree_recursions : int;
+    (** cache-missing steps of the {!agree} test (which interns no
+        node) *)
     interned_cubes : int;
     (** interned variable sets and substitution signatures (see
         {!cube_id}); the empty set is always present *)
@@ -353,8 +356,17 @@ val diff : man -> t -> t -> t
 val conj : man -> t list -> t
 val disj : man -> t list -> t
 
+val agree : man -> t -> t -> t -> bool
+(** [agree man c f g] iff [c·(f ⊕ g) = 0]: [f] and [g] agree wherever
+    [c] holds.  Decided without interning a node — the recursion over
+    the three operands' cofactors stops at the first path where [c]
+    holds and [f] and [g] differ — and memoized in the computed cache
+    (CUDD's [Cudd_bddLeq] generalized to a care set).  Budgeted like
+    every kernel.  [agree man x y (zero man)] tests [x·y = 0]. *)
+
 val leq : man -> t -> t -> bool
-(** Containment: [leq man f g] iff [f ≤ g] as functions. *)
+(** Containment: [leq man f g] iff [f ≤ g] as functions; [agree man f g
+    (one man)]. *)
 
 val cofactor : man -> t -> var:int -> bool -> t
 (** Shannon cofactor of [f] with respect to variable [var] set to the given

@@ -88,10 +88,9 @@ let check ?strategy ?cluster_bound ?minimize ?max_iterations ?on_instance
    | Reach.Complete -> ());
   let neq = List.assoc "neq" sym.output_fns in
   let bad_states = Bdd.exists man (Symbolic.input_support sym) neq in
-  let witness = Bdd.dand man reached bad_states in
-  if Bdd.is_zero witness then Equivalent stats
+  if Bdd.agree man reached bad_states (Bdd.zero man) then Equivalent stats
   else
-    match Bdd.Cube.any_cube witness with
+    match Bdd.Cube.any_cube (Bdd.dand man reached bad_states) with
     | Some cube -> Not_equivalent { stats; distinguishing_state = cube }
     | None -> assert false
 

@@ -30,7 +30,7 @@ let to_states ?(max_iterations = max_int) ~final_condition man
   (* Forward rings until one touches a bad state. *)
   let rec forward rings reached frontier n =
     if Bdd.is_zero frontier || n > max_iterations then None
-    else if not (Bdd.is_zero (Bdd.dand man frontier bad)) then
+    else if not (Bdd.agree man frontier bad (Bdd.zero man)) then
       Some (List.rev (frontier :: rings))
     else
       let successors = Image.image sym frontier in

@@ -86,7 +86,7 @@ let render ?serve ~jobs ~quick ~max_calls ~image ~limits ~benches
   let l = (limits : Capture.limits_config) in
   J.print
     (J.Obj
-       [ ("schema", J.Str "bddmin-bench-engine/12");
+       [ ("schema", J.Str "bddmin-bench-engine/13");
          ("jobs", J.int jobs);
          ("quick", J.Bool quick);
          ("max_calls", J.int max_calls);

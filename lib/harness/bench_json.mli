@@ -1,10 +1,10 @@
 (** The machine-readable benchmark record ([BENCH_engine.json]).
 
-    One JSON document per benchmark run, schema ["bddmin-bench-engine/12"],
+    One JSON document per benchmark run, schema ["bddmin-bench-engine/13"],
     with every key always present:
 
     {v
-    schema       string  "bddmin-bench-engine/12"
+    schema       string  "bddmin-bench-engine/13"
     jobs         int     worker domains used for the capture suite
     quick        bool    small sub-suite?
     max_calls    int     per-benchmark cap on measured calls
@@ -65,7 +65,9 @@
     ablation section, since plain ROBDDs are the only node
     representation; [/12] added the [vars] and [external_refs] engine
     counters (the section now lists every {!Bdd.Stats.fields} entry)
-    and prints the document on one line.
+    and prints the document on one line; [/13] added the
+    [agree_recursions] engine counter (the steps of [Bdd.agree], the
+    containment and matching test that builds no BDD).
 
     The document is a record of one run, written by [bddmin bench];
     performance comparisons across changes belong to the repo

@@ -159,7 +159,7 @@ let functions man pla =
     pla.rows;
   List.mapi
     (fun o label ->
-       if not (Bdd.is_zero (Bdd.dand man on.(o) off.(o))) then
+       if not (Bdd.agree man on.(o) off.(o) (Bdd.zero man)) then
          invalid_arg
            (Printf.sprintf "Pla.functions: output %s has ON ∩ OFF ≠ ∅" label);
        let care =

@@ -11,12 +11,10 @@ let onset man s = Bdd.dand man s.f s.c
 let offset man s = Bdd.dand man (Bdd.compl s.f) s.c
 let dc _man s = Bdd.compl s.c
 
-let is_cover man s g =
-  Bdd.leq man (onset man s) g && Bdd.leq man g (Bdd.dor man s.f (Bdd.compl s.c))
+let is_cover man s g = Bdd.agree man s.c s.f g
 
 let is_i_cover man s1 s2 =
-  Bdd.leq man s2.c s1.c
-  && Bdd.is_zero (Bdd.dand man (Bdd.dxor man s1.f s2.f) s2.c)
+  Bdd.leq man s2.c s1.c && Bdd.agree man s2.c s1.f s2.f
 
 let equal_ispec man s1 s2 = is_i_cover man s1 s2 && is_i_cover man s2 s1
 

@@ -250,8 +250,6 @@ let minimize_at_level man ?(params = default_params) crit ~level
 let support man (s : Ispec.t) =
   List.sort_uniq compare (Bdd.support man s.f @ Bdd.support man s.c)
 
-let max_level man s = List.fold_left max (-1) (support man s)
-
 (* A level no node of [f] or [c] sits at cuts the instance exactly where
    the level above it does, so a pass there would only repeat that
    matching: visit the support levels alone.  A pass adds no variables,

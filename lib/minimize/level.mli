@@ -31,9 +31,9 @@ val gather :
 (** The gathered subfunction pairs with the first DFS path reaching each
     (variable, branch taken), for inspection and distance weighting. *)
 
-val max_level : Bdd.man -> Ispec.t -> int
-(** Deepest level occurring in the union support of the instance
-    ([-1] for constants). *)
+val support : Bdd.man -> Ispec.t -> int list
+(** The union support of [f] and [c], in increasing order.  No pass of
+    this library adds a variable, so it bounds every later support. *)
 
 val minimize_at_level :
   Bdd.man -> ?params:params -> Matching.criterion -> level:int -> Ispec.t ->

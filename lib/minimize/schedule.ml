@@ -26,7 +26,8 @@ let windows_total =
 let run man ?(params = default_params) (s : Ispec.t) =
   if Bdd.is_zero s.Ispec.c then invalid_arg "Schedule.run: empty care set";
   if params.window_size <= 0 then invalid_arg "Schedule.run: window_size";
-  let nlevels = Level.max_level man s + 1 in
+  let support = Level.support man s in
+  let nlevels = List.fold_left max (-1) support + 1 in
   Obs.Trace.with_span "minimize.schedule"
     ~attrs:
       [
@@ -80,7 +81,21 @@ let run man ?(params = default_params) (s : Ispec.t) =
     try Bdd.constrain man spec.Ispec.f spec.Ispec.c
     with Bdd.Budget_exhausted _ -> spec.Ispec.f
   in
+  (* A window that holds no support level is an identity for the
+     sibling passes, which only rebuild the nodes they cross, and the
+     initial support bounds every later one: start at the first window,
+     on the fixed grid of [window_size], that holds a support level.
+     Level matching still visits every window, because a level pass at
+     an empty level repeats the cut above it under another criterion. *)
+  let rec next_window lo = function
+    | v :: rest when v < lo -> next_window lo rest
+    | v :: _ -> lo + ((v - lo) / params.window_size * params.window_size)
+    | [] -> nlevels
+  in
   let rec loop lo spec =
+    let lo =
+      if params.use_level_matching then lo else next_window lo support
+    in
     if Bdd.is_one spec.Ispec.c then spec.Ispec.f
     else if nlevels - lo < params.stop_top_down || lo >= nlevels then
       final spec

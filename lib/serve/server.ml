@@ -59,9 +59,27 @@ type listen = Tcp of int | Unix_path of string
 module M = struct
   open Obs.Metrics
 
+  (* Every label set the server meters is resolved here, once: the
+     request path finds its handle in a table nobody writes after module
+     init, without taking the registry lock.  A label set missing from
+     [tuples] still resolves, through the registry. *)
+  let resolved fam tuples =
+    let table = Hashtbl.create 32 in
+    List.iter (fun l -> Hashtbl.replace table l (labels fam l)) tuples;
+    fun l ->
+      match Hashtbl.find_opt table l with Some h -> h | None -> labels fam l
+
+  let each = List.map (fun x -> [ x ])
+
+  let compute_ops = [ "minimize"; "reach"; "equiv"; "session_open" ]
+
+  let inline_ops = [ "session_close"; "ping"; "metrics"; "dump"; "shutdown" ]
+
   let requests =
-    counter ~help:"Requests parsed, by operation" ~labels:[ "op" ]
-      "bddmin_serve_requests_total"
+    resolved
+      (counter ~help:"Requests parsed, by operation" ~labels:[ "op" ]
+         "bddmin_serve_requests_total")
+      (each (compute_ops @ inline_ops))
 
   let malformed =
     handle
@@ -69,35 +87,53 @@ module M = struct
          "bddmin_serve_malformed_total")
 
   let replies =
-    counter ~help:"Replies written, by operation and status"
-      ~labels:[ "op"; "status" ] "bddmin_serve_replies_total"
+    resolved
+      (counter ~help:"Replies written, by operation and status"
+         ~labels:[ "op"; "status" ] "bddmin_serve_replies_total")
+      (List.concat_map
+         (fun op ->
+            List.map (fun st -> [ op; st ])
+              [ "ok"; "dnf"; "partial"; "error"; "busy" ])
+         compute_ops
+       @ List.map (fun op -> [ op; "ok" ]) inline_ops)
 
   let latency =
-    histogram ~help:"Worker-side request latency in microseconds (log2 buckets)"
-      ~labels:[ "op" ] "bddmin_serve_latency_us"
+    resolved
+      (histogram
+         ~help:"Worker-side request latency in microseconds (log2 buckets)"
+         ~labels:[ "op" ] "bddmin_serve_latency_us")
+      (each compute_ops)
 
   let phase =
-    histogram
-      ~help:
-        "Per-phase request time in microseconds: queue wait, handler \
-         execution, reply serialization + write"
-      ~labels:[ "phase" ] "bddmin_serve_phase_us"
+    resolved
+      (histogram
+         ~help:
+           "Per-phase request time in microseconds: queue wait, handler \
+            execution, reply serialization + write"
+         ~labels:[ "phase" ] "bddmin_serve_phase_us")
+      (each [ "queue"; "exec"; "write" ])
 
   let conn_errors =
-    counter ~help:"Connection-level failures, by kind" ~labels:[ "kind" ]
-      "bddmin_serve_conn_errors_total"
+    resolved
+      (counter ~help:"Connection-level failures, by kind" ~labels:[ "kind" ]
+         "bddmin_serve_conn_errors_total")
+      (each [ "accept"; "domain_limit"; "torn_frame"; "reader_exception" ])
 
   let cache_events =
-    counter
-      ~help:
-        "Result-cache events: hit (served from the reader), canonical_hit \
-         (matched after interning), miss, collapsed (joined an in-flight \
-         identical request), store, evicted"
-      ~labels:[ "event" ] "bddmin_serve_cache_events_total"
+    resolved
+      (counter
+         ~help:
+           "Result-cache events: hit (served from the reader), canonical_hit \
+            (matched after interning), miss, collapsed (joined an in-flight \
+            identical request), store, evicted"
+         ~labels:[ "event" ] "bddmin_serve_cache_events_total")
+      (each [ "hit"; "canonical_hit"; "miss"; "collapsed"; "store"; "evicted" ])
 
   let session_events =
-    counter ~help:"Session lifecycle events: opened, closed, evicted"
-      ~labels:[ "event" ] "bddmin_serve_session_events_total"
+    resolved
+      (counter ~help:"Session lifecycle events: opened, closed, evicted"
+         ~labels:[ "event" ] "bddmin_serve_session_events_total")
+      (each [ "opened"; "closed"; "evicted" ])
 
   let gauge' help name = handle (gauge ~help name)
 
@@ -129,11 +165,13 @@ module M = struct
   let connections = gauge' "Open client connections" "bddmin_serve_connections"
 
   let manager_live =
-    gauge
-      ~help:
-        "Live BDD nodes in the most recently completed request's manager, \
-         by operation"
-      ~labels:[ "op" ] "bddmin_serve_manager_live_nodes"
+    resolved
+      (gauge
+         ~help:
+           "Live BDD nodes in the most recently completed request's \
+            manager, by operation"
+         ~labels:[ "op" ] "bddmin_serve_manager_live_nodes")
+      (each compute_ops)
 
   let uptime =
     gauge' "Seconds since the server started" "bddmin_serve_uptime_seconds"
@@ -470,8 +508,7 @@ let handle_minimize srv conn tx ~explain budget_spec ~source ~heuristic =
        in
        (match canonical_value with
         | Some value when Json.mem "result" value <> None ->
-          Obs.Metrics.inc
-            (Obs.Metrics.labels M.cache_events [ "canonical_hit" ]);
+          Obs.Metrics.inc (M.cache_events [ "canonical_hit" ]);
           tx.cache_note <- Some "canonical-hit";
           Ok (Option.get (Json.mem "result" value))
         | _ ->
@@ -485,7 +522,7 @@ let handle_session_open srv conn ~bdd =
   match Session.open_ srv.sessions ~owner:conn.id ~text:bdd with
   | Error msg -> Error msg
   | Ok s ->
-    Obs.Metrics.inc (Obs.Metrics.labels M.session_events [ "opened" ]);
+    Obs.Metrics.inc (M.session_events [ "opened" ]);
     Ok
       (Json.Obj
          [ ("session", Json.Str s.Session.sid);
@@ -760,7 +797,7 @@ let send_cached srv conn (req : Protocol.request) ~via value =
   Obs.Flight.record srv.flight ~trace_id:(trace_id_of req)
     ~sizes:[ ("reply_bytes", String.length payload) ]
     ~id:req.id ~op ~outcome:status ();
-  Obs.Metrics.inc (Obs.Metrics.labels M.replies [ op; status ]);
+  Obs.Metrics.inc (M.replies [ op; status ]);
   conn_send_payload conn payload
 
 (* ----- pending-item accounting -----
@@ -794,9 +831,7 @@ let abandon_followers srv p reply =
 let abort_item srv p =
   let req = p.p_req in
   let reply = Protocol.dnf_reply ~id:req.Protocol.id Bdd.Budget.Cancelled in
-  Obs.Metrics.inc
-    (Obs.Metrics.labels M.replies
-       [ Protocol.op_label req.Protocol.op; "dnf" ]);
+  Obs.Metrics.inc (M.replies [ Protocol.op_label req.Protocol.op; "dnf" ]);
   Obs.Flight.record srv.flight ~trace_id:(trace_id_of req)
     ~id:req.Protocol.id
     ~op:(Protocol.op_label req.Protocol.op)
@@ -868,7 +903,7 @@ let run_item srv (p : pending) =
      let value = strip_for_cache reply in
      let store = status = "ok" in
      if store then
-       Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "store" ]);
+       Obs.Metrics.inc (M.cache_events [ "store" ]);
      let aliases = Option.to_list tx.canonical_key in
      let followers = Cache.resolve cache ~key ~aliases ~store value in
      List.iter (fun f -> f value) followers
@@ -919,14 +954,12 @@ let run_item srv (p : pending) =
   Obs.Trace.add span "exec_us" (Obs.Trace.Int exec_us);
   Obs.Trace.add span "write_us" (Obs.Trace.Int write_us);
   Obs.Trace.add span "status" (Obs.Trace.Str status);
-  Obs.Metrics.observe (Obs.Metrics.labels M.latency [ op ]) total_us;
-  Obs.Metrics.observe (Obs.Metrics.labels M.phase [ "queue" ]) queue_us;
-  Obs.Metrics.observe (Obs.Metrics.labels M.phase [ "exec" ]) exec_us;
-  Obs.Metrics.observe
-    (Obs.Metrics.labels M.phase [ "write" ])
-    (write_us + send_us);
-  Obs.Metrics.inc (Obs.Metrics.labels M.replies [ op; status ]);
-  Obs.Metrics.set (Obs.Metrics.labels M.manager_live [ op ]) tx.live_nodes;
+  Obs.Metrics.observe (M.latency [ op ]) total_us;
+  Obs.Metrics.observe (M.phase [ "queue" ]) queue_us;
+  Obs.Metrics.observe (M.phase [ "exec" ]) exec_us;
+  Obs.Metrics.observe (M.phase [ "write" ]) (write_us + send_us);
+  Obs.Metrics.inc (M.replies [ op; status ]);
+  Obs.Metrics.set (M.manager_live [ op ]) tx.live_nodes;
   if status = "error" then begin
     Log.debug (fun k -> k "request %d (%s) from %s errored" id op conn.peer);
     ignore (dump_flight srv)
@@ -992,14 +1025,13 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
   match cached with
   | Some value ->
     (* finished result: served straight from the reader, no queue *)
-    Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "hit" ]);
+    Obs.Metrics.inc (M.cache_events [ "hit" ]);
     send_cached srv conn req ~via:"hit" value
   | None ->
     if not (try_admit srv) then begin
       (* backpressure: refuse without enqueueing *)
       let retry = retry_after_ms srv in
-      Obs.Metrics.inc
-        (Obs.Metrics.labels M.replies [ Protocol.op_label req.op; "busy" ]);
+      Obs.Metrics.inc (M.replies [ Protocol.op_label req.op; "busy" ]);
       Obs.Flight.record srv.flight ~trace_id:(trace_id_of req) ~id:req.id
         ~op:(Protocol.op_label req.op) ~outcome:"busy" ();
       conn_send conn (Protocol.busy_reply ~id:req.id ~retry_after_ms:retry)
@@ -1024,7 +1056,7 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
       | Some (_, Cache.Hit value) ->
         (* resolved between the probe above and the join: a hit.
            Give the admission slot back — nothing was enqueued. *)
-        Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "hit" ]);
+        Obs.Metrics.inc (M.cache_events [ "hit" ]);
         send_cached srv conn req ~via:"hit" value;
         Atomic.decr srv.admitted;
         Atomic.decr srv.in_flight;
@@ -1032,10 +1064,10 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
       | Some (_, Cache.Joined) ->
         (* parked behind the leader; the follower closure owns the
            ref + in_flight slot, and no queue slot is consumed *)
-        Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "collapsed" ]);
+        Obs.Metrics.inc (M.cache_events [ "collapsed" ]);
         Atomic.decr srv.admitted
       | Some (key, Cache.Lead) ->
-        Obs.Metrics.inc (Obs.Metrics.labels M.cache_events [ "miss" ]);
+        Obs.Metrics.inc (M.cache_events [ "miss" ]);
         submit_item srv conn ~arrival_ns ~req_bytes ~key:(Some key) req
       | None -> submit_item srv conn ~arrival_ns ~req_bytes ~key:None req
     end
@@ -1044,9 +1076,7 @@ let dispatch_compute srv conn ~arrival_ns ~req_bytes (req : Protocol.request) =
    flight-recorded (with an empty phase list — there is no queue wait or
    compute to attribute). *)
 let record_inline srv req ~outcome =
-  Obs.Metrics.inc
-    (Obs.Metrics.labels M.replies
-       [ Protocol.op_label req.Protocol.op; outcome ]);
+  Obs.Metrics.inc (M.replies [ Protocol.op_label req.Protocol.op; outcome ]);
   Obs.Flight.record srv.flight ~trace_id:(trace_id_of req)
     ~id:req.Protocol.id
     ~op:(Protocol.op_label req.Protocol.op)
@@ -1060,8 +1090,7 @@ let reader_loop srv conn =
       (* torn frame, oversized prefix, or I/O failure mid-frame *)
       if not (Atomic.get srv.stop_flag) then begin
         Log.warn (fun k -> k "connection %s: %s" conn.peer msg);
-        Obs.Metrics.inc
-          (Obs.Metrics.labels M.conn_errors [ "torn_frame" ])
+        Obs.Metrics.inc (M.conn_errors [ "torn_frame" ])
       end
     | Ok (`Frame payload) ->
       let arrival_ns = now_ns () in
@@ -1074,9 +1103,7 @@ let reader_loop srv conn =
            ();
          conn_send conn (Protocol.error_reply ~id msg)
        | Ok req ->
-         Obs.Metrics.inc
-           (Obs.Metrics.labels M.requests
-              [ Protocol.op_label req.op ]);
+         Obs.Metrics.inc (M.requests [ Protocol.op_label req.op ]);
          (match srv.trace_sink with
           | Some sink when sampled req ->
             Obs.Trace.with_sink sink (fun () ->
@@ -1113,8 +1140,7 @@ let reader_loop srv conn =
             (* a registry removal: cheap enough for the reader *)
             let closed = Session.close srv.sessions ~owner:conn.id sid in
             if closed then
-              Obs.Metrics.inc
-                (Obs.Metrics.labels M.session_events [ "closed" ]);
+              Obs.Metrics.inc (M.session_events [ "closed" ]);
             conn_send conn
               (Protocol.ok_reply ~id:req.id
                  (Json.Obj [ ("closed", Json.Bool closed) ]));
@@ -1132,8 +1158,7 @@ let reader_loop srv conn =
         below either way, but the cause goes to the log *)
      Log.err (fun k ->
          k "reader for %s died: %s" conn.peer (Printexc.to_string e));
-     Obs.Metrics.inc
-       (Obs.Metrics.labels M.conn_errors [ "reader_exception" ]));
+     Obs.Metrics.inc (M.conn_errors [ "reader_exception" ]));
   (* reader is done: cancel whatever this connection still has in
      flight, drop its sessions, then drop the reader's reference *)
   Log.debug (fun k -> k "connection %s closed" conn.peer);
@@ -1141,9 +1166,7 @@ let reader_loop srv conn =
   Exec.Cancel.cancel conn.cancel;
   let dropped = Session.drop_conn srv.sessions ~owner:conn.id in
   if dropped > 0 then
-    Obs.Metrics.add
-      (Obs.Metrics.labels M.session_events [ "closed" ])
-      dropped;
+    Obs.Metrics.add (M.session_events [ "closed" ]) dropped;
   conn_release conn
 
 (* ----- lifecycle ----- *)
@@ -1187,14 +1210,28 @@ let accept_loop srv =
              fd; wlock = Mutex.create (); cancel = Exec.Cancel.create ();
              peer = peer_string fd; queued = Atomic.make 0; refs = 1 }
          in
-         Log.debug (fun k -> k "connection %s accepted" conn.peer);
          Atomic.incr srv.conn_count;
-         conns := conn :: !conns;
-         readers := Domain.spawn (fun () -> reader_loop srv conn) :: !readers
+         (match Domain.spawn (fun () -> reader_loop srv conn) with
+          | reader ->
+            Log.debug (fun k -> k "connection %s accepted" conn.peer);
+            conns := conn :: !conns;
+            readers := reader :: !readers
+          | exception e ->
+            (* The runtime caps the domains a process runs at once (128
+               in OCaml 5.1), so a reader may fail to start: refuse the
+               connection instead of letting the failure end this loop. *)
+            Atomic.decr srv.conn_count;
+            Log.warn (fun k ->
+                k "connection %s refused: %s" conn.peer
+                  (Printexc.to_string e));
+            Obs.Metrics.inc (M.conn_errors [ "domain_limit" ]);
+            conn_send conn
+              (Protocol.error_reply ~id:0
+                 "too many connections: no reader could be started");
+            conn_release conn)
        | exception Unix.Unix_error (e, _, _) ->
          Log.warn (fun k -> k "accept failed: %s" (Unix.error_message e));
-         Obs.Metrics.inc
-           (Obs.Metrics.labels M.conn_errors [ "accept" ]))
+         Obs.Metrics.inc (M.conn_errors [ "accept" ]))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
@@ -1293,16 +1330,14 @@ let start ?(workers = Exec.recommended_jobs ()) ?trace ?metrics
       Some
         (Cache.create ~capacity:cache_capacity
            ~on_evict:(fun () ->
-             Obs.Metrics.inc
-               (Obs.Metrics.labels M.cache_events [ "evicted" ]))
+             Obs.Metrics.inc (M.cache_events [ "evicted" ]))
            ())
   in
   let sessions =
     Session.create ~max_sessions:(max 1 max_sessions)
       ~on_evict:(fun sid ->
         Log.debug (fun k -> k "session %s evicted (LRU)" sid);
-        Obs.Metrics.inc
-          (Obs.Metrics.labels M.session_events [ "evicted" ]))
+        Obs.Metrics.inc (M.session_events [ "evicted" ]))
       ()
   in
   let srv =

@@ -308,11 +308,51 @@ let stats_labels_honest () =
          "cache_capacity"; "cache_lookups"; "cache_hits"; "cache_stores";
          "cache_evictions"; "ite_recursions"; "and_recursions";
          "xor_recursions"; "constrain_recursions"; "restrict_recursions";
-         "quantify_recursions"; "and_exists_recursions"; "interned_cubes";
-         "gc_runs"; "gc_reclaimed" ]);
+         "quantify_recursions"; "and_exists_recursions"; "agree_recursions";
+         "interned_cubes"; "gc_runs"; "gc_reclaimed" ]);
   Util.checki "fields carry live nodes" s'.Bdd.Stats.live_nodes
     (List.assoc "live_nodes" fields);
   Util.checki "fields carry the gc run" 1 (List.assoc "gc_runs" fields)
+
+(* [agree] against the building test it replaces, on random instances
+   whose operands range over their functions, complements, constants
+   and covers of [[f; c]] (so both verdicts occur): it must give the
+   same answer and intern nothing. *)
+let agree_differential =
+  Util.qtest ~count:300 "agree c f g = is_zero (c & (f ^ g)); leq likewise"
+    QCheck2.Gen.(
+      pair Util.gen_instance (triple (int_bound 9) (int_bound 9) (int_bound 9)))
+    (fun (((n, fseed, cseed) as desc), (i, j, k)) ->
+       let man = Util.man in
+       let f, c = Util.build_instance desc in
+       let g, _ = Util.build_instance (n, cseed, fseed) in
+       let ops =
+         [| f; c; g; Bdd.compl f; Bdd.compl c; Bdd.one man; Bdd.zero man;
+            Bdd.dand man f c; Bdd.dor man f (Bdd.compl c); Bdd.dand man g c |]
+       in
+       let a = ops.(i) and b = ops.(j) and d = ops.(k) in
+       let interned () = (Bdd.snapshot man).Bdd.Stats.interned_total in
+       let before = interned () in
+       let agreed = Bdd.agree man a b d and contained = Bdd.leq man a b in
+       let built_nothing = interned () = before in
+       built_nothing
+       && agreed = Bdd.is_zero (Bdd.dand man a (Bdd.dxor man b d))
+       && contained = Bdd.is_zero (Bdd.dand man a (Bdd.compl b)))
+
+let agree_budgeted () =
+  let man = Bdd.create () in
+  let tt seed = Tt.to_bdd man (tt_of_seed 6 seed) in
+  let c = tt 1 and f = tt 2 and g = tt 3 in
+  let steps () = (Bdd.snapshot man).Bdd.Stats.agree_recursions in
+  let b = Bdd.Budget.create ~max_steps:1 () in
+  Util.checkb "a 1-step budget aborts inside agree"
+    (match Bdd.with_budget man b (fun () -> Bdd.agree man c f g) with
+     | _ -> false
+     | exception Bdd.Budget_exhausted (Bdd.Budget.Steps _) -> steps () = 1);
+  Util.checkb "the unbudgeted retry decides it"
+    (Bdd.agree man c f g
+     = Bdd.is_zero (Bdd.dand man c (Bdd.dxor man f g)));
+  Util.checkb "recursions counted" (steps () > 1)
 
 let sat_count_undersized_space () =
   let man = Util.man in
@@ -517,6 +557,8 @@ let suite =
     tiny_cache_differential;
     forced_gc_differential;
     kernel_vs_ite_differential;
+    agree_differential;
+    Alcotest.test_case "agree under a step budget" `Quick agree_budgeted;
     canonicity_after_gc_churn;
     Alcotest.test_case "kernel counters and cache sharing" `Quick
       kernel_counters;

@@ -119,9 +119,78 @@ let reference_entries () =
   Util.checkb "f_or_nc"
     (Bdd.equal (run "f_or_nc") (Bdd.dor man f (Bdd.compl c)))
 
+(* [sched] on a fresh manager loaded from Store text: the cover's size,
+   the windows it transformed and the computed-cache lookups it made. *)
+let sched_cost text =
+  let man = Bdd.create () in
+  let s =
+    match Bdd.Store.load man text with
+    | Ok roots -> I.make ~f:(List.assoc "f" roots) ~c:(List.assoc "c" roots)
+    | Error msg -> Alcotest.failf "load: %s" msg
+  in
+  let lookups () = (Bdd.snapshot man).Bdd.Stats.cache_lookups in
+  let before = lookups () in
+  let sink = Obs.Trace.memory () in
+  let g = Obs.Trace.with_sink sink (fun () -> Sch.run man s) in
+  let windows =
+    List.length
+      (List.filter
+         (fun (e : Obs.Trace.event) ->
+            e.name = "schedule.window" && e.phase = Obs.Trace.Begin)
+         (Obs.Trace.events sink))
+  in
+  (Bdd.size man g, windows, lookups () - before)
+
+(* Store text with every node's variable moved down by [shift]. *)
+let shift_text shift text =
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "node"; id; var; hi; lo ] ->
+        String.concat " "
+          [ "node"; id; string_of_int (int_of_string var + shift); hi; lo ]
+      | _ -> line)
+  |> String.concat "\n"
+
+(* Shifting every variable by a multiple of the window size aligns the
+   windows the same way, so [sched] returns a cover of the same size
+   after the same windows at the same cache cost: the windows above the
+   shifted support are never walked. *)
+let schedule_shift_invariant =
+  Util.qtest ~count:100 "sched is invariant under a 4k variable shift"
+    QCheck2.Gen.(pair Util.gen_instance (int_range 1 16_000))
+    (fun (desc, k) ->
+       let s = Util.build_ispec_nonzero desc in
+       let text = Bdd.Store.save man [ ("f", s.I.f); ("c", s.I.c) ] in
+       let shift = k * Sch.default_params.Sch.window_size in
+       sched_cost text = sched_cost (shift_text shift text))
+
+(* The 3-node instance [f = x0 ? x(v-1) : x(v)], [c = x(v)] costs the
+   same windows and lookups with its top variable at the last legal
+   index as at v = 100. *)
+let schedule_cost_by_payload () =
+  let twin v =
+    let man = Bdd.create () in
+    let x = Bdd.ithvar man in
+    sched_cost
+      (Bdd.Store.save man
+         [ ("f", Bdd.ite man (x 0) (x (v - 1)) (x v)); ("c", x v) ])
+  in
+  let size, windows, lookups = twin 100 in
+  let size', windows', lookups' = twin (Bdd.max_vars - 1) in
+  Util.checki "same cover size" size size';
+  Util.checki "same windows" windows windows';
+  Util.checkb
+    (Printf.sprintf "lookups within 2x (%d at v = 100, %d at v = 65535)"
+       lookups lookups')
+    (lookups' <= 2 * lookups)
+
 let suite =
   [
     schedule_covers;
+    schedule_shift_invariant;
+    Alcotest.test_case "sched costs the payload, not the top index" `Quick
+      schedule_cost_by_payload;
     schedule_param_space;
     Alcotest.test_case "schedule parameter validation" `Quick
       schedule_rejects_bad_params;

@@ -582,6 +582,56 @@ let sub_field m obj field =
   | Some o -> Option.value ~default:0 (J.int_field field o)
   | None -> Alcotest.failf "metrics lack the %s section" obj
 
+(* Every connection runs a reader domain, and the runtime caps the
+   domains a process runs at once: past the cap the daemon must refuse
+   the connection with an error frame, count it, and keep accepting. *)
+let serve_connection_limit () =
+  with_server ~workers:1 @@ fun _srv addr ->
+  let ping fd =
+    (* a refused connection may already be closed for writing; its
+       error frame is still there to read *)
+    (try
+       P.write_frame fd (P.render_request ~id:1 [ ("op", J.Str "ping") ])
+     with Unix.Unix_error _ -> ());
+    (raw_recv fd).P.status
+  in
+  let rec open_until_refused fds n =
+    if n > 200 then Alcotest.fail "no connection refused after 200";
+    let fd = raw_connect addr in
+    match ping fd with
+    | "ok" -> open_until_refused (fd :: fds) (n + 1)
+    | status ->
+      Util.check Alcotest.string "refused with an error frame" "error" status;
+      fd :: fds
+  in
+  let fds = open_until_refused [] 1 in
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
+  (* the closed connections' readers end on their own schedule *)
+  let rec ping_fresh tries =
+    match with_raw addr ping with
+    | "ok" -> ()
+    | _ when tries > 0 ->
+      Unix.sleepf 0.05;
+      ping_fresh (tries - 1)
+    | status -> Alcotest.failf "fresh connection: status %s" status
+  in
+  ping_fresh 100;
+  let refused =
+    let key = "bddmin_serve_conn_errors_total{kind=\"domain_limit\"} " in
+    match J.string_field "prometheus" (metrics_of addr) with
+    | None -> Alcotest.fail "metrics lack the exposition"
+    | Some text ->
+      List.fold_left
+        (fun acc line ->
+           if String.starts_with ~prefix:key line then
+             int_of_string
+               (String.sub line (String.length key)
+                  (String.length line - String.length key))
+           else acc)
+        0 (String.split_on_char '\n' text)
+  in
+  Util.checkb "refusals counted" (refused >= 1)
+
 let serve_backpressure_busy () =
   (* One worker, a single admission slot, cache off: with
      the worker pinned by a heavy request, pipelined small requests
@@ -865,13 +915,12 @@ let serve_replay_node_budget () =
     raw_minimize fd ~id:(k + 1)
       (Serve.Loadgen.build_payload ~nvars:6 ~seed:(300 + k))
   done;
-  let target =
+  let unbudgeted =
     { text = Serve.Loadgen.build_payload ~nvars:7 ~seed:999;
-      heuristic = "sched"; max_nodes = Some 254;
-      max_steps = None }
+      heuristic = "sched"; max_nodes = None; max_steps = None }
   in
-  let _, peak = offline_run { target with max_nodes = None } in
-  Util.checki "target's offline peak" 250 peak;
+  let _, peak = offline_run unbudgeted in
+  let target = { unbudgeted with max_nodes = Some (peak + 4) } in
   send_replay fd ~id:5 target;
   let replies = List.init 5 (fun _ -> raw_recv fd) in
   List.iter
@@ -1005,6 +1054,8 @@ let suite =
       serve_http_exposition;
     Alcotest.test_case "concurrent clients" `Quick serve_concurrent_clients;
     Alcotest.test_case "shutdown op" `Quick serve_shutdown_op;
+    Alcotest.test_case "connections past the domain cap are refused" `Quick
+      serve_connection_limit;
     Alcotest.test_case "backpressure busy replies" `Quick
       serve_backpressure_busy;
     Alcotest.test_case "cache and single-flight collapse" `Quick
