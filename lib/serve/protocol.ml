@@ -42,8 +42,9 @@
    views together.  [sampled:false] asks the server not to emit spans
    for this request (it is still metered and flight-recorded).
    [explain] asks for a "telemetry" object on the reply: phase timings
-   (queue/exec/write, microseconds), budget consumption, and the engine
-   stats delta attributable to this request.
+   (queue/exec/write, microseconds; a sessionless minimize adds
+   load/canon/minimize/render, parts of exec), budget consumption, and
+   the engine stats delta attributable to this request.
 
    Replies:
      {"id": N, "status": "ok",      "result": {...}}
@@ -59,6 +60,8 @@
    and recent execution times).
    plus, when the request said [explain]:
      {..., "telemetry": {"queue_us": N, "exec_us": N, "write_us": N,
+                         ["load_us": N, "canon_us": N, "minimize_us": N,
+                          "render_us": N,]
                          "budget": {...}, "engine": {...}}}            *)
 
 let max_frame = 32 * 1024 * 1024

@@ -3,8 +3,7 @@
    A session pins one BDD manager — with the client's Store text
    interned into it exactly once — to the connection that opened it, so
    a stream of minimize calls against the same instance skips the
-   per-request [new_man] + re-intern that dominates small-request
-   latency.
+   per-request manager reset + re-intern of the sessionless path.
 
    Ownership: a session is only visible to the connection that opened
    it ([owner] is the server's connection id); another connection

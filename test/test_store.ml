@@ -209,6 +209,124 @@ let fuzz_mutations =
        match Bdd.Store.load (Bdd.create ()) mutated with
        | Ok _ | Error _ -> true)
 
+(* The Printf printer [Store.save] replaced, kept as the reference for
+   its byte layout: nodes children-first from each root in turn, then
+   the root lines. *)
+let reference_save roots =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "bdd 1\n";
+  let emitted = Hashtbl.create 64 in
+  let edge_ref e =
+    (if Bdd.uid e land 1 = 1 then "!" else "") ^ string_of_int (Bdd.node_id e)
+  in
+  let rec visit e =
+    let id = Bdd.node_id e in
+    if id <> 0 && not (Hashtbl.mem emitted id) then begin
+      let reg = if Bdd.uid e land 1 = 1 then Bdd.compl e else e in
+      let hi = Bdd.hi reg and lo = Bdd.lo reg in
+      visit hi;
+      visit lo;
+      Hashtbl.add emitted id ();
+      Buffer.add_string buf
+        (Printf.sprintf "node %d %d %s %s\n" id (Bdd.topvar reg) (edge_ref hi)
+           (edge_ref lo))
+    end
+  in
+  List.iter (fun (_, e) -> visit e) roots;
+  List.iter
+    (fun (name, e) ->
+       Buffer.add_string buf (Printf.sprintf "root %s %s\n" name (edge_ref e)))
+    roots;
+  Buffer.contents buf
+
+let save_matches_reference =
+  Util.qtest ~count:200 "save is byte-identical to the reference printer"
+    QCheck2.Gen.(
+      let* n = int_range 0 7 in
+      let* k = int_range 1 4 in
+      let* seed = int_bound 0xFFFFF in
+      return (n, k, seed))
+    (fun (n, k, seed) ->
+       let man = Bdd.create () in
+       let st = Random.State.make [| seed; n; k; 23 |] in
+       let base =
+         Tt.to_bdd man (Tt.create n (fun _ -> Random.State.bool st))
+       in
+       (* roots share the base DAG, some complemented, some constant *)
+       let root i =
+         let f =
+           match Random.State.int st 5 with
+           | 0 -> Bdd.one man
+           | 1 -> Bdd.zero man
+           | 2 -> base
+           | _ ->
+             Bdd.dxor man base
+               (Tt.to_bdd man (Tt.create n (fun _ -> Random.State.bool st)))
+         in
+         (Printf.sprintf "r%d" i, if Random.State.bool st then Bdd.compl f else f)
+       in
+       let roots = List.init k root in
+       Bdd.Store.save man roots = reference_save roots)
+
+let integer_spellings () =
+  (* every spelling [int_of_string] accepts is an id or a variable, as
+     it always was: a sign, a radix prefix, underscores *)
+  let man = Bdd.create () in
+  let x i = Bdd.ithvar man i in
+  let load text =
+    match Bdd.Store.load man text with
+    | Ok roots -> roots
+    | Error msg -> Alcotest.failf "%S failed to load: %s" text msg
+  in
+  (match
+     load "bdd 1\nnode +3 0 0 !0\nnode 0x1f 0b1 0 !0\nnode 1_0 +2 0 !0\n\
+           root a 3\nroot b !31\nroot c 0o12\nroot d -0\n"
+   with
+   | [ ("a", a); ("b", b); ("c", c); ("d", d) ] ->
+     Util.checkb "+3 is node 3" (Bdd.equal a (x 0));
+     Util.checkb "0x1f is node 31, 0b1 variable 1" (Bdd.equal b (Bdd.compl (x 1)));
+     Util.checkb "1_0 is node 10" (Bdd.equal c (x 2));
+     Util.checkb "-0 is the terminal" (Bdd.is_one d)
+   | _ -> Alcotest.fail "four roots expected");
+  List.iter
+    (fun (what, text, msg) ->
+       match Bdd.Store.load man text with
+       | Error m -> Util.check Alcotest.string what msg m
+       | Ok _ -> Alcotest.failf "%s: loaded" what)
+    [
+      ("19 digits overflow", "bdd 1\nroot f 9999999999999999999\n",
+       "bad edge 9999999999999999999");
+      ("a lone bang", "bdd 1\nroot f !\n", "bad edge !");
+      ("negative id", "bdd 1\nroot f -3\n", "unknown node id -3");
+      ("doubled space", "bdd 1\nnode 1  0 0 !0\n",
+       "line 2: cannot parse \"node 1  0 0 !0\"");
+    ]
+
+let canonical_fixpoint =
+  (* a canonical text loads into a fresh manager with the same node ids,
+     so saving it again gives the same text *)
+  Util.qtest ~count:100 "save (load t) = t for a canonical t"
+    QCheck2.Gen.(
+      let* n = int_range 0 7 in
+      let* seed = int_bound 0xFFFFF in
+      return (n, seed))
+    (fun (n, seed) ->
+       let man = Bdd.create () in
+       let st = Random.State.make [| seed; n; 29 |] in
+       let tt () = Tt.create n (fun _ -> Random.State.bool st) in
+       let f = Tt.to_bdd man (tt ()) and c = Tt.to_bdd man (tt ()) in
+       let t = Bdd.Store.save man [ ("f", f); ("c", Bdd.compl c) ] in
+       let canonical =
+         let m = Bdd.create () in
+         match Bdd.Store.load m t with
+         | Ok roots -> Bdd.Store.save m roots
+         | Error msg -> failwith msg
+       in
+       let m = Bdd.create () in
+       match Bdd.Store.load m canonical with
+       | Ok roots -> Bdd.Store.save m roots = canonical
+       | Error _ -> false)
+
 let suite =
   [
     roundtrip_random;
@@ -226,4 +344,7 @@ let suite =
     Alcotest.test_case "redundant nodes tolerated" `Quick
       redundant_nodes_tolerated;
     Alcotest.test_case "file round trip" `Quick file_roundtrip;
+    save_matches_reference;
+    Alcotest.test_case "integer spellings" `Quick integer_spellings;
+    canonical_fixpoint;
   ]
