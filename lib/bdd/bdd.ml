@@ -21,6 +21,5 @@ module Metric = struct
 end
 
 module Cube = Cube
-module Reorder = Reorder
 module Store = Store
 module Dot = Dot

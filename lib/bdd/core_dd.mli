@@ -580,12 +580,8 @@ module Shared : sig
       to the idle pool (also on exceptions).  The caller must not leak
       the view outside [f]. *)
 
-  val store_of : man -> store option
-  (** The store a view is attached to; [None] for private managers. *)
-
   val view_count : store -> int
-  (** Number of currently attached views ({!Reorder.sift} refuses a
-      manager whose store has more than one). *)
+  (** Number of currently attached views. *)
 
   type telemetry = {
     stripes : int;

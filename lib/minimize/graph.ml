@@ -28,11 +28,13 @@ let dag_assignment ~n ~edge =
 
 let clique_cover ~n ~adjacent ?(order_by_degree = true) ?edge_weight () =
   let adj = Array.init n (fun i -> Array.init n (fun j -> i <> j && adjacent i j)) in
-  let degree v = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 adj.(v) in
+  let degree =
+    Array.map (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0) adj
+  in
   let seeds =
     let vs = List.init n (fun v -> v) in
     if order_by_degree then
-      List.stable_sort (fun a b -> compare (degree b) (degree a)) vs
+      List.stable_sort (fun a b -> compare degree.(b) degree.(a)) vs
     else vs
   in
   let covered = Array.make n false in

@@ -77,7 +77,7 @@ module M = struct
 
   let compute_ops = [ "minimize"; "reach"; "equiv"; "session_open" ]
 
-  let exec_phases = [ "load"; "canon"; "minimize"; "render" ]
+  let exec_phases = [ "load"; "canon"; "minimize"; "render"; "reset" ]
 
   let inline_ops = [ "session_close"; "ping"; "metrics"; "dump"; "shutdown" ]
 
@@ -115,9 +115,10 @@ module M = struct
       (histogram
          ~help:
            "Per-phase request time in microseconds: queue wait, handler \
-            execution, reply serialization + write; a sessionless \
-            minimize also splits execution into load, canon (canonical \
-            cache key), minimize and render"
+            execution, reply serialization + write; a minimize also \
+            splits execution into load, canon (canonical cache key), \
+            minimize and render, and an op on a worker's resident \
+            manager into its reset"
          ~labels:[ "phase" ] "bddmin_serve_phase_us")
       (each exec_phases @ each [ "queue"; "exec"; "write" ])
 
@@ -431,27 +432,26 @@ let with_engine_telemetry tx ~explain man budget f =
 
 (* ----- op handlers (run on pool workers) ----- *)
 
-let load_ispec man = function
-  | Protocol.Store_text text -> begin
-      match Bdd.Store.load man text with
-      | Error msg -> Error ("bad bdd payload: " ^ msg)
-      | Ok roots ->
-        (match List.assoc_opt "f" roots with
-         | None -> Error "bdd payload has no root named \"f\""
-         | Some f ->
-           let c = Option.value ~default:(Bdd.one man) (List.assoc_opt "c" roots) in
-           Ok (Minimize.Ispec.make ~f ~c))
-    end
-  | Protocol.Pla_text text -> begin
-      match Logic.Pla.parse text with
-      | Error msg -> Error ("bad pla payload: " ^ msg)
-      | Ok pla ->
-        (match Logic.Pla.functions man pla with
-         | [] -> Error "pla has no outputs"
-         | (_, (f, c)) :: _ -> Ok (Minimize.Ispec.make ~f ~c))
-    end
-  | Protocol.Session_ref _ ->
-    Error "session minimize does not re-intern" (* handled elsewhere *)
+(* The instance named by a root set: [f], with [c] defaulting to 1. *)
+let ispec_of_roots man ~what roots =
+  match List.assoc_opt "f" roots with
+  | None -> Error (what ^ " has no root named \"f\"")
+  | Some f ->
+    let c = Option.value ~default:(Bdd.one man) (List.assoc_opt "c" roots) in
+    Ok (Minimize.Ispec.make ~f ~c)
+
+let load_store man text =
+  match Bdd.Store.load man text with
+  | Error msg -> Error ("bad bdd payload: " ^ msg)
+  | Ok roots -> ispec_of_roots man ~what:"bdd payload" roots
+
+let load_pla man text =
+  match Logic.Pla.parse text with
+  | Error msg -> Error ("bad pla payload: " ^ msg)
+  | Ok pla ->
+    (match Logic.Pla.functions man pla with
+     | [] -> Error "pla has no outputs"
+     | (_, (f, c)) :: _ -> Ok (Minimize.Ispec.make ~f ~c))
 
 let run_heuristic ctx ~heuristic spec =
   if heuristic = "best" then
@@ -475,92 +475,86 @@ let minimize_result man ~name ~cover spec =
       ("input_size", Json.int (Bdd.size man spec.Minimize.Ispec.f));
       ("cover", Json.Str (Bdd.Store.save man [ ("g", cover) ])) ]
 
-(* Minimize against a warm session manager.  Owner-checked; the session
-   lock serializes manager access across workers (managers have no
-   internal locking).  Skips the result cache by design: the warm path
-   is what the client asked to measure. *)
-let handle_session_minimize srv conn tx ~explain budget_spec ~sid ~heuristic =
-  match Session.find srv.sessions ~owner:conn.id sid with
-  | None ->
-    Error
-      (Printf.sprintf
-         "unknown session %S (evicted, closed, or not open on this \
-          connection)" sid)
-  | Some s ->
-    Session.with_session s @@ fun man ->
-    (match List.assoc_opt "f" s.Session.roots with
-     | None -> Error "session has no root named \"f\""
-     | Some f ->
-       let c =
-         Option.value ~default:(Bdd.one man)
-           (List.assoc_opt "c" s.Session.roots)
-       in
-       let spec = Minimize.Ispec.make ~f ~c in
-       let budget = make_budget conn budget_spec in
-       with_engine_telemetry tx ~explain man budget @@ fun () ->
-       let ctx = Minimize.Ctx.make ~budget man in
-       let name, cover = run_heuristic ctx ~heuristic spec in
-       Ok (minimize_result man ~name ~cover spec))
-
 (* The pool worker's own manager, made fresh for its first compute
    request and reset as each request finishes (telemetry read, reply
    built, or an exception on its way out), so every request starts from
    the state of a fresh manager (same node ids, same Store texts,
    budgets metering only its own work) without allocating one, and an
-   idle worker keeps none of its last request's nodes.  Only handlers,
-   which run on pool workers, ask for it. *)
+   idle worker keeps none of its last request's nodes.  The reset is
+   timed as phase [reset].  Only handlers, which run on pool workers,
+   ask for it. *)
 let resident = Domain.DLS.new_key (fun () -> Bdd.create ())
 
-let with_resident_manager f =
+let with_resident_manager tx f =
   let man = Domain.DLS.get resident in
-  Fun.protect ~finally:(fun () -> Bdd.reset man) (fun () -> f man)
+  Fun.protect
+    ~finally:(fun () -> timed tx "reset" (fun () -> Bdd.reset man))
+    (fun () -> f man)
 
-(* Sessionless minimize, on the worker's reset manager.  After interning,
-   the canonical Store text of the instance is (a) looked up in the
-   cache — a differently-formatted upload of a function already served
-   returns without running the minimizer — and (b) left in
-   [tx.canonical_key] so the result is stored under both the raw and
-   canonical keys. *)
-let handle_minimize srv conn tx ~explain budget_spec ~source ~heuristic =
-  match source with
-  | Protocol.Session_ref sid ->
-    handle_session_minimize srv conn tx ~explain budget_spec ~sid ~heuristic
-  | Protocol.Store_text _ | Protocol.Pla_text _ ->
-    with_resident_manager @@ fun man ->
-    (match timed tx "load" (fun () -> load_ispec man source) with
-     | Error msg -> Error msg
-     | Ok spec ->
-       let canonical_value =
-         match srv.cache with
-         | None -> None
-         | Some cache ->
-           timed tx "canon" @@ fun () ->
-           let canonical =
-             Bdd.Store.save man
-               [ ("f", spec.Minimize.Ispec.f); ("c", spec.Minimize.Ispec.c) ]
-           in
-           let ckey =
-             key_of ~kind:"minimize@canon" ~extra:heuristic
-               ~bclass:(budget_class budget_spec) ~payload:canonical
-           in
-           tx.canonical_key <- Some ckey;
-           Cache.find cache ckey
-       in
-       (match canonical_value with
-        | Some value when Json.mem "result" value <> None ->
-          Obs.Metrics.inc (M.cache_events [ "canonical_hit" ]);
-          tx.cache_note <- Some "canonical-hit";
-          Ok (Option.get (Json.mem "result" value))
-        | _ ->
-          let budget = make_budget conn budget_spec in
-          with_engine_telemetry tx ~explain man budget @@ fun () ->
-          let ctx = Minimize.Ctx.make ~budget man in
-          let name, cover =
-            timed tx "minimize" (fun () -> run_heuristic ctx ~heuristic spec)
+(* Run [k man spec] on the instance a minimize names, inside the
+   manager it lives in.  A session's warm manager is owner-checked,
+   serialized by the session lock (managers have no internal locking),
+   and skips the result cache: the warm path is what the client asked
+   to measure.  An upload is interned into the worker's resident
+   manager; its canonical Store text is looked up in the cache (a
+   reformatted upload of a function already served returns without
+   running [k]) and left in [tx.canonical_key], so the result is stored
+   under both the raw and canonical keys. *)
+let with_instance srv conn tx budget_spec ~heuristic source k =
+  let uploaded load =
+    with_resident_manager tx @@ fun man ->
+    match timed tx "load" (fun () -> load man) with
+    | Error msg -> Error msg
+    | Ok spec ->
+      let canonical_value =
+        match srv.cache with
+        | None -> None
+        | Some cache ->
+          timed tx "canon" @@ fun () ->
+          let canonical =
+            Bdd.Store.save man
+              [ ("f", spec.Minimize.Ispec.f); ("c", spec.Minimize.Ispec.c) ]
           in
-          Ok
-            (timed tx "render" (fun () ->
-                 minimize_result man ~name ~cover spec))))
+          let ckey =
+            key_of ~kind:"minimize@canon" ~extra:heuristic
+              ~bclass:(budget_class budget_spec) ~payload:canonical
+          in
+          tx.canonical_key <- Some ckey;
+          Cache.find cache ckey
+      in
+      (match Option.bind canonical_value (Json.mem "result") with
+       | Some result ->
+         Obs.Metrics.inc (M.cache_events [ "canonical_hit" ]);
+         tx.cache_note <- Some "canonical-hit";
+         Ok result
+       | None -> k man spec)
+  in
+  match source with
+  | Protocol.Store_text text -> uploaded (fun man -> load_store man text)
+  | Protocol.Pla_text text -> uploaded (fun man -> load_pla man text)
+  | Protocol.Session_ref sid -> begin
+      match Session.find srv.sessions ~owner:conn.id sid with
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown session %S (evicted, closed, or not open on this \
+              connection)" sid)
+      | Some s ->
+        Session.with_session s @@ fun man ->
+        Result.bind (ispec_of_roots man ~what:"session" s.Session.roots)
+          (k man)
+    end
+
+(* One minimize body for both kinds of manager. *)
+let handle_minimize srv conn tx ~explain budget_spec ~source ~heuristic =
+  with_instance srv conn tx budget_spec ~heuristic source @@ fun man spec ->
+  let budget = make_budget conn budget_spec in
+  with_engine_telemetry tx ~explain man budget @@ fun () ->
+  let ctx = Minimize.Ctx.make ~budget man in
+  let name, cover =
+    timed tx "minimize" (fun () -> run_heuristic ctx ~heuristic spec)
+  in
+  Ok (timed tx "render" (fun () -> minimize_result man ~name ~cover spec))
 
 let handle_session_open srv conn ~bdd =
   match Session.open_ srv.sessions ~owner:conn.id ~text:bdd with
@@ -600,7 +594,7 @@ let handle_reach conn tx ~explain ~id budget_spec machine =
   match netlist_of machine with
   | Error msg -> Error (Protocol.error_reply ~id msg)
   | Ok nl ->
-    with_resident_manager @@ fun man ->
+    with_resident_manager tx @@ fun man ->
     let budget = make_budget conn budget_spec in
     with_engine_telemetry tx ~explain man budget @@ fun () ->
     let sym = Fsm.Symbolic.of_netlist man nl in
@@ -616,7 +610,7 @@ let handle_equiv conn tx ~explain budget_spec a b =
   match netlist_of a, netlist_of b with
   | Error msg, _ | _, Error msg -> Error msg
   | Ok na, Ok nb ->
-    with_resident_manager @@ fun man ->
+    with_resident_manager tx @@ fun man ->
     let budget = make_budget conn budget_spec in
     with_engine_telemetry tx ~explain man budget @@ fun () ->
     let verdict =

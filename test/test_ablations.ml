@@ -1,7 +1,7 @@
 (* Deterministic ablations beyond the paper's exhibits, pinned to exact
    totals: the §3.4 schedule parameters, the §3.3.2 clique-cover
-   toggles, the static variable orderings, the §1 resynthesis flow and
-   sifting.  Every number is a node count of a canonical result, so any
+   toggles, the static variable orderings and the §1 resynthesis flow.
+   Every number is a node count of a canonical result, so any
    change to one of them is a change in what the algorithms compute. *)
 
 (* The instance pool: the first 60 non-trivial instances intercepted
@@ -121,27 +121,6 @@ let resynthesis () =
       ("rnd344", (73, 65));
     ]
 
-(* Sifting the next-state and output functions. *)
-let sifting () =
-  List.iter
-    (fun (name, expected) ->
-       let m = Bdd.create () in
-       let sym = Fsm.Symbolic.of_netlist m (netlist name) in
-       let fns =
-         Array.to_list sym.Fsm.Symbolic.next_fns
-         @ List.map snd sym.Fsm.Symbolic.output_fns
-       in
-       let before = Bdd.shared_size m fns in
-       let _, after = Bdd.Reorder.sift m fns in
-       Alcotest.(check (pair int int)) ("sifting " ^ name) expected
-         (before, after))
-    [
-      ("tlc", (41, 23));
-      ("bcd2", (24, 18));
-      ("rnd344", (73, 58));
-      ("minmax4", (462, 76));
-    ]
-
 let suite =
   [
     Alcotest.test_case "pool of 60 instances" `Quick pool_size;
@@ -149,5 +128,4 @@ let suite =
     Alcotest.test_case "§3.3.2 opt_lv toggles" `Quick opt_lv_toggles;
     Alcotest.test_case "static orderings" `Quick orderings;
     Alcotest.test_case "resynthesis" `Quick resynthesis;
-    Alcotest.test_case "sifting" `Quick sifting;
   ]

@@ -7,7 +7,6 @@ let suites =
     ("bdd-engine", Test_bdd_engine.suite);
     ("logic", Test_logic.suite);
     ("pla", Test_pla.suite);
-    ("reorder", Test_reorder.suite);
     ("store", Test_store.suite);
     ("ispec", Test_ispec.suite);
     ("matching", Test_matching.suite);

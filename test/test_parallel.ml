@@ -252,22 +252,6 @@ let multi_domain_stress () =
        Bdd.deref view replayed)
     kept
 
-(* ----- sift guard on shared managers ----- *)
-
-let sift_refuses_multi_view () =
-  let store = Bdd.Shared.create () in
-  let v1 = Bdd.Shared.attach store in
-  let v2 = Bdd.Shared.attach store in
-  let f = random_fn v1 4 7 in
-  Util.checkb "sift refuses a store with two views"
-    (match Bdd.Reorder.sift v1 [ f ] with
-     | exception Invalid_argument msg -> Util.contains msg "2 registered views"
-     | _ -> false);
-  Bdd.Shared.detach v2;
-  (* one view left: reordering is domain-safe again *)
-  let _, after = Bdd.Reorder.sift v1 [ f ] in
-  Util.checkb "sift works once detached down to one view" (after > 0)
-
 let suite =
   [
     Alcotest.test_case "shared-store canonicity across views" `Quick
@@ -281,8 +265,6 @@ let suite =
       suite_csv_jobs_differential;
     Alcotest.test_case "multi-domain intern stress + gc + audit" `Slow
       multi_domain_stress;
-    Alcotest.test_case "sift refuses shared multi-view manager" `Quick
-      sift_refuses_multi_view;
     Alcotest.test_case "shared gc empties every view's cache" `Quick
       shared_gc_resets_view_caches;
   ]

@@ -436,7 +436,7 @@ let serve_trace_roundtrip () =
   | _ -> Alcotest.fail "dump has no records"
 
 let serve_explain_telemetry () =
-  with_server @@ fun _srv addr ->
+  with_server @@ fun srv addr ->
   let c = C.connect addr in
   Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
   (* without explain the reply carries no telemetry at all *)
@@ -473,11 +473,42 @@ let serve_explain_telemetry () =
         "and_recursions"; "interned_total" ];
     Util.checkb "the request did engine work"
       (Option.get (J.int_field "cache_lookups" engine) > 0);
-    (* a sessionless minimize splits exec into its four phases *)
-    let sub = List.map phase [ "load_us"; "canon_us"; "minimize_us"; "render_us" ] in
+    (* a sessionless minimize splits exec into its phases, the resident
+       manager's reset included *)
+    let sub =
+      List.map phase
+        [ "load_us"; "canon_us"; "minimize_us"; "render_us"; "reset_us" ]
+    in
     Util.checkb "sub-phases non-negative" (List.for_all (fun v -> v >= 0) sub);
     Util.checkb "sub-phases sum to at most exec_us"
-      (List.fold_left ( + ) 0 sub <= phase "exec_us")
+      (List.fold_left ( + ) 0 sub <= phase "exec_us");
+    (* and so does a session minimize, through the same body.  The
+       session is registered for this connection directly, not by a
+       [session_open] request, which would move the process-wide
+       session counters that the lifecycle case pins; the connection,
+       served twice already, is the newest the server accepted. *)
+    let sid =
+      match
+        Serve.Session.open_ srv.Serve.Server.sessions
+          ~owner:(Atomic.get srv.Serve.Server.conn_seq - 1) ~text:payload
+      with
+      | Ok s -> s.Serve.Session.sid
+      | Error msg -> Alcotest.failf "session_open: %s" msg
+    in
+    match C.minimize c ~explain:true (P.Session_ref sid) with
+    | Error msg -> Alcotest.failf "transport error %s" msg
+    | Ok r ->
+      let tel = r.P.telemetry in
+      let phase name =
+        match J.int_field name tel with
+        | Some v -> v
+        | None -> Alcotest.failf "session telemetry lacks %s" name
+      in
+      let sub = List.map phase [ "minimize_us"; "render_us" ] in
+      Util.checkb "session sub-phases non-negative"
+        (List.for_all (fun v -> v >= 0) sub);
+      Util.checkb "session sub-phases sum to at most exec_us"
+        (List.fold_left ( + ) 0 sub <= phase "exec_us")
 
 let serve_dump_op () =
   with_server @@ fun _srv addr ->
@@ -531,13 +562,25 @@ let serve_http_exposition () =
   let port = Option.get (Serve.Server.metrics_port srv) in
   let c = C.connect (C.Unix_path path) in
   Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  (* the registry is process-wide, so earlier tests' requests are in
+     the counter too: the scrape must show this one on top of them *)
+  let minimizes resp =
+    let prefix = "bddmin_serve_requests_total{op=\"minimize\"} " in
+    List.find_map
+      (fun l ->
+         let n = String.length prefix in
+         if String.starts_with ~prefix l then
+           int_of_string_opt (String.trim (String.sub l n (String.length l - n)))
+         else None)
+      (String.split_on_char '\n' resp)
+  in
+  let before = Option.value ~default:0 (minimizes (http_get ~port "/metrics")) in
   ignore (expect_ok "minimize" (C.minimize c (P.Store_text payload)));
   let resp = http_get ~port "/metrics" in
   Util.checkb "200 OK" (Util.contains resp "HTTP/1.0 200");
   Util.checkb "prometheus content type"
     (Util.contains resp "text/plain; version=0.0.4");
-  Util.checkb "request counter exposed"
-    (Util.contains resp "bddmin_serve_requests_total{op=\"minimize\"} 1");
+  Util.checkb "request counter exposed" (minimizes resp = Some (before + 1));
   Util.checkb "type comment present"
     (Util.contains resp "# TYPE bddmin_serve_latency_us histogram");
   Util.checkb "gauges refreshed at scrape time"
