@@ -315,15 +315,20 @@ let topvar e = e.node.var
 let uid e = (2 * e.node.id) + Bool.to_int e.neg
 let node_id e = e.node.id
 
-(* Cofactors push the edge's complement bit through the node. *)
+(* Cofactors push the edge's complement bit through the node; a regular
+   edge's cofactor is the stored child edge itself, so only a
+   complemented parent allocates. *)
 let hi e =
   let n = e.node in
-  if n.var = const_var then e else { neg = e.neg; node = n.n_hi.node }
+  if n.var = const_var then e
+  else if not e.neg then n.n_hi
+  else { neg = true; node = n.n_hi.node }
 
 let lo e =
   let n = e.node in
   if n.var = const_var then e
-  else { neg = e.neg <> n.n_lo.neg; node = n.n_lo.node }
+  else if not e.neg then n.n_lo
+  else { neg = not n.n_lo.neg; node = n.n_lo.node }
 
 let branches e v =
   assert (topvar e >= v);
@@ -835,6 +840,7 @@ let tag_forall = 6
 let tag_and_exists = 7
 let tag_compose = 8
 let tag_agree = 9
+let tag_agree2 = 10
 
 let pack_tag tag u = (u lsl 4) lor tag
 
@@ -1014,9 +1020,59 @@ let rec agree_rec man c f g =
         r
     end
 
+(* The agreement test under a product of care sets: does
+   [c·d·(f ⊕ g) = 0] hold?  The same walk as [agree_rec] over four
+   operands, so the product [c·d] is never built.  It ends in [agree_rec]
+   once [c] and [d] collapse to one operand.  The product commutes, so
+   [c], [d] are ordered by uid; [f], [g] are normalized as in
+   [agree_rec].  [f] is then regular, so its uid's low bit carries [g]'s
+   complement bit, and the key words [(c, d, f, g.neg)] leave only [g]'s
+   node out: the result slot holds [g] for a yes and [¬g] for a no, and
+   a lookup hits only when the stored node is [g]'s. *)
+let rec agree2_rec man c d f g =
+  if is_zero c || is_zero d || is_compl_pair c d || equal f g then true
+  else if is_one c then agree_rec man d f g
+  else if is_one d || equal c d then agree_rec man c f g
+  else
+    let f = inside man d (inside man c f) and g = inside man d (inside man c g) in
+    if equal f g then true
+    else if is_compl_pair f g then agree_rec man c d (zero man)
+    else begin
+      let c, d = if uid c <= uid d then (c, d) else (d, c) in
+      let f, g = if f.node.id <= g.node.id then (f, g) else (g, f) in
+      let f, g = if f.neg then (compl f, compl g) else (f, g) in
+      let k0 = pack_tag tag_agree2 (uid c) and k1 = uid d in
+      let k2 = uid f lor Bool.to_int g.neg in
+      man.c_lookups <- man.c_lookups + 1;
+      let i = c_slot man k0 k1 k2 in
+      if
+        man.ck0.(i) = k0 && man.ck1.(i) = k1 && man.ck2.(i) = k2
+        && man.cres.(i).node == g.node
+      then begin
+        man.c_hits <- man.c_hits + 1;
+        man.cres.(i).neg = g.neg
+      end
+      else begin
+        budget_tick man;
+        man.n_agree <- man.n_agree + 1;
+        let v = min (min (topvar c) (topvar d)) (min (topvar f) (topvar g)) in
+        let ct, ce = branches c v
+        and dt, de = branches d v
+        and ft, fe = branches f v
+        and gt, ge = branches g v in
+        let r = agree2_rec man ct dt ft gt && agree2_rec man ce de fe ge in
+        cache_store man k0 k1 k2 (if r then g else compl g);
+        r
+      end
+    end
+
 let agree man c f g =
   budget_entry man;
   agree_rec man c f g
+
+let agree2 man c d f g =
+  budget_entry man;
+  agree2_rec man c d f g
 
 let leq man f g = agree man f g (one man)
 

@@ -128,8 +128,8 @@ val reset : man -> unit
     steps, a monotonic wall-clock deadline, and an optional cooperative
     cancellation callback.  Every kernel ({!ite}, {!and_}, {!xor},
     {!exists}, {!and_exists}, {!constrain}, {!restrict},
-    {!vector_compose}, {!agree}) consults the installed budget with a
-    single cheap check in its cache-miss preamble and raises
+    {!vector_compose}, {!agree}, {!agree2}) consults the installed
+    budget with a single cheap check in its cache-miss preamble and raises
     {!Budget_exhausted} there — a {e clean recursion boundary}: node
     interning and cache stores are individually atomic and only
     completed results are ever cached, so after the exception unwinds
@@ -243,8 +243,8 @@ module Stats : sig
     and_exists_recursions : int;
     (** cache-missing fused conjoin-and-quantify steps *)
     agree_recursions : int;
-    (** cache-missing steps of the {!agree} test (which interns no
-        node) *)
+    (** cache-missing steps of the {!agree} and {!agree2} tests (which
+        intern no node) *)
     interned_cubes : int;
     (** interned variable sets and substitution signatures (see
         {!cube_id}); the empty set is always present *)
@@ -384,6 +384,12 @@ val agree : man -> t -> t -> t -> bool
     holds and [f] and [g] differ — and memoized in the computed cache
     (CUDD's [Cudd_bddLeq] generalized to a care set).  Budgeted like
     every kernel.  [agree man x y (zero man)] tests [x·y = 0]. *)
+
+val agree2 : man -> t -> t -> t -> t -> bool
+(** [agree2 man c d f g] iff [c·d·(f ⊕ g) = 0]: {!agree} under the
+    product of two care sets, decided by one walk over the four
+    operands' cofactors without building [c·d] or interning a node.
+    Budgeted and counted like {!agree}, under its own cache tag. *)
 
 val leq : man -> t -> t -> bool
 (** Containment: [leq man f g] iff [f ≤ g] as functions; [agree man f g

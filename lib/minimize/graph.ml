@@ -27,7 +27,14 @@ let dag_assignment ~n ~edge =
   Array.init n rep
 
 let clique_cover ~n ~adjacent ?(order_by_degree = true) ?edge_weight () =
-  let adj = Array.init n (fun i -> Array.init n (fun j -> i <> j && adjacent i j)) in
+  let adj = Array.make_matrix n n false in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let b = adjacent i j in
+      adj.(i).(j) <- b;
+      adj.(j).(i) <- b
+    done
+  done;
   let degree =
     Array.map (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0) adj
   in

@@ -25,9 +25,11 @@ val clique_cover :
   ?edge_weight:(int -> int -> float) ->
   unit ->
   int list list
-(** Partition the vertices into cliques of the given undirected adjacency
-    (self-adjacency is ignored).  Greedy: repeatedly seed a clique with an
-    uncovered vertex and grow it with uncovered vertices adjacent to every
-    current member; candidate edges are tried in ascending [edge_weight]
-    (insertion order when absent), and seeds in decreasing degree when
-    [order_by_degree] (default [true]). *)
+(** Partition the vertices into cliques of the given undirected adjacency.
+    [adjacent] must be symmetric: it is called once per vertex pair, as
+    [adjacent i j] with [i < j], and the answer stands for both
+    directions (self-adjacency is never asked).  Greedy: repeatedly seed
+    a clique with an uncovered vertex and grow it with uncovered vertices
+    adjacent to every current member; candidate edges are tried in
+    ascending [edge_weight] (insertion order when absent), and seeds in
+    decreasing degree when [order_by_degree] (default [true]). *)

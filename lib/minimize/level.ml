@@ -66,10 +66,10 @@ let chunk k xs =
 (* Matching-graph statistics accumulated across the chunks of one
    level pass, for the "level.pass" trace span and the registry.  The
    edge counters wrap the criterion closures handed to [Graph]:
-   [clique_cover] materializes the whole adjacency matrix, so for the
-   UMG (tsm) the probed count is the exact edge-slot count; the DMG
-   sink-assignment evaluates edges lazily, so for osm/osdm the counts
-   cover only the edges actually examined. *)
+   [clique_cover] probes each vertex pair once (tsm is symmetric), so
+   for the UMG the probed count is the exact pair count, m(m-1)/2; the
+   DMG sink-assignment evaluates edges lazily, so for osm/osdm the
+   counts cover only the edges actually examined. *)
 type graph_stats = {
   mutable vertices : int;  (** graph vertices (deduplicated groups) *)
   mutable edges_probed : int;
@@ -96,7 +96,10 @@ let graph_vertices_hist =
 let edges_probed_total =
   Obs.Metrics.(
     handle
-      (counter ~help:"Matching-graph edges evaluated by level passes"
+      (counter
+         ~help:
+           "Matching-graph edges evaluated by level passes (a UMG edge once \
+            per vertex pair)"
          "bddmin_minimize_level_edges_probed_total"))
 
 (* Solve FMM on one chunk of gathered pairs and record the replacements in

@@ -14,7 +14,7 @@ let matches man crit (s1 : Ispec.t) (s2 : Ispec.t) =
   match crit with
   | Osdm -> Bdd.is_zero s1.c
   | Osm -> Bdd.leq man s1.c s2.c && Bdd.agree man s1.c s1.f s2.f
-  | Tsm -> Bdd.agree man (Bdd.dand man s1.c s2.c) s1.f s2.f
+  | Tsm -> Bdd.agree2 man s1.c s2.c s1.f s2.f
 
 let i_cover man crit (s1 : Ispec.t) (s2 : Ispec.t) =
   if not (matches man crit s1 s2) then None

@@ -354,6 +354,55 @@ let agree_budgeted () =
      = Bdd.is_zero (Bdd.dand man c (Bdd.dxor man f g)));
   Util.checkb "recursions counted" (steps () > 1)
 
+(* [agree2] against [agree] on the built product, for every operand
+   tuple over a pool of three functions, two of their complements, a
+   product and the constants: so [c = d], [c = ¬d], constant care sets,
+   [f = ¬g] and operands equal to [c], [d] or their complements all
+   occur.  The verdicts are taken first, so they must intern nothing. *)
+let agree2_differential =
+  Util.qtest ~count:30 "agree2 c d f g = agree (c & d) f g"
+    Util.gen_instance
+    (fun ((n, fseed, cseed) as desc) ->
+       let man = Util.man in
+       let x, y = Util.build_instance desc in
+       let z, _ = Util.build_instance (n, cseed, fseed) in
+       let pool =
+         [| x; Bdd.compl x; y; z; Bdd.compl z; Bdd.dand man x y; Bdd.one man;
+            Bdd.zero man |]
+       in
+       let k = Array.length pool in
+       let tuple t = (pool.(t / (k * k * k)), pool.(t / (k * k) mod k),
+                      pool.(t / k mod k), pool.(t mod k)) in
+       let interned () = (Bdd.snapshot man).Bdd.Stats.interned_total in
+       let before = interned () in
+       let verdicts =
+         Array.init (k * k * k * k) (fun t ->
+             let c, d, f, g = tuple t in
+             Bdd.agree2 man c d f g)
+       in
+       interned () = before
+       && Array.for_all Fun.id
+         (Array.mapi
+            (fun t v ->
+               let c, d, f, g = tuple t in
+               v = Bdd.agree man (Bdd.dand man c d) f g)
+            verdicts))
+
+let agree2_budgeted () =
+  let man = Bdd.create () in
+  let tt seed = Tt.to_bdd man (tt_of_seed 6 seed) in
+  let c = tt 1 and d = Bdd.compl (tt 4) and f = tt 2 and g = tt 3 in
+  let steps () = (Bdd.snapshot man).Bdd.Stats.agree_recursions in
+  let b = Bdd.Budget.create ~max_steps:1 () in
+  Util.checkb "a 1-step budget aborts inside agree2"
+    (match Bdd.with_budget man b (fun () -> Bdd.agree2 man c d f g) with
+     | _ -> false
+     | exception Bdd.Budget_exhausted (Bdd.Budget.Steps _) -> steps () = 1);
+  Util.checkb "the unbudgeted retry decides it"
+    (Bdd.agree2 man c d f g
+     = Bdd.is_zero (Bdd.dand man (Bdd.dand man c d) (Bdd.dxor man f g)));
+  Util.checkb "recursions counted" (steps () > 1)
+
 let sat_count_undersized_space () =
   let man = Util.man in
   let x i = Bdd.ithvar man i in
@@ -677,6 +726,8 @@ let suite =
     kernel_vs_ite_differential;
     agree_differential;
     Alcotest.test_case "agree under a step budget" `Quick agree_budgeted;
+    agree2_differential;
+    Alcotest.test_case "agree2 under a step budget" `Quick agree2_budgeted;
     canonicity_after_gc_churn;
     Alcotest.test_case "kernel counters and cache sharing" `Quick
       kernel_counters;

@@ -106,6 +106,23 @@ let degree_order_finds_big_clique () =
   let sizes = List.sort compare (List.map List.length cliques) in
   Alcotest.(check (list int)) "5-clique found" [ 1; 5 ] sizes
 
+(* The adjacency is symmetric, so [clique_cover] asks each vertex pair
+   once, smaller index first. *)
+let clique_cover_probes_each_pair_once () =
+  List.iter
+    (fun n ->
+       let calls = ref 0 and ordered = ref true in
+       let adjacent i j =
+         incr calls;
+         if i >= j then ordered := false;
+         (i + j) mod 3 = 0
+       in
+       ignore (G.clique_cover ~n ~adjacent ());
+       Util.checki (Printf.sprintf "n(n-1)/2 probes at n = %d" n)
+         (n * (n - 1) / 2) !calls;
+       Util.checkb "only i < j" !ordered)
+    [ 0; 1; 2; 7; 13 ]
+
 let zero_vertices () =
   Util.checki "empty" 0 (List.length (G.clique_cover ~n:0 ~adjacent:(fun _ _ -> true) ()));
   Alcotest.(check (list int)) "no sinks" [] (G.dag_sinks ~n:0 ~edge:(fun _ _ -> false))
@@ -120,5 +137,7 @@ let suite =
     Alcotest.test_case "empty graph" `Quick clique_cover_empty_graph;
     Alcotest.test_case "degree order finds the big clique" `Quick
       degree_order_finds_big_clique;
+    Alcotest.test_case "each vertex pair probed once" `Quick
+      clique_cover_probes_each_pair_once;
     Alcotest.test_case "zero vertices" `Quick zero_vertices;
   ]

@@ -27,6 +27,7 @@ let suites =
     ("circuits", Test_circuits.suite);
     ("harness", Test_harness.suite);
     ("ablations", Test_ablations.suite);
+    ("covers", Test_covers.suite);
     ("obs", Test_obs.suite);
     ("metrics+flight", Test_metrics.suite);
     ("exec", Test_exec.suite);
